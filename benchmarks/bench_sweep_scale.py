@@ -1,26 +1,30 @@
-"""Fleet-scale sweep benchmark: disk code cache + streaming sharded executor.
+"""Fleet-scale sweep benchmark: translation bound + streaming sharded executor.
 
 Measures the two resources the fleet-scale executor work targets and
 asserts both stayed won:
 
-* **Translation amortization** — a 1000-cell sweep is run twice against
-  the same on-disk compiled-program cache.  The cold fleet translates
-  and writes; the warm fleet (fresh worker processes, same directory)
-  must serve >= 99% of its compiled-tier lookups from disk and translate
-  **nothing**.  Wall-clock for both runs is recorded; the gated quantity
-  is the translation counters, which are deterministic where wall time
-  on a loaded CI box is not.
+* **Translation bound** — every pool worker keeps one encoding-keyed
+  translation cache, so it translates each distinct eBPF program at most
+  once: a fleet of any size may translate at most ``jobs`` x the number
+  of distinct programs its grid attaches.  The distinct count is
+  measured, not assumed (one in-process cell per workload against an
+  empty cache), and the fleet starts from an empty cache as well (the
+  parent's is cleared before the pool forks).  Translation counters are
+  deterministic where wall time on a loaded CI box is not, so they are
+  the gated quantity; wall time and throughput are recorded alongside.
 
 * **Parent-memory flatness** — results stream to a JSONL spill instead
   of accumulating in the parent.  The benchmark runs a 50-cell batch
   first, snapshots the parent's ``ru_maxrss`` watermark, then runs the
-  1000-cell fleet twice; the final watermark must stay within 1.3x of
-  the 50-cell watermark.  (``ru_maxrss`` is monotone, so ordering the
-  small batch first is what makes the ratio meaningful.)  Parent heap
-  peaks via ``tracemalloc`` are recorded alongside for diagnosis.
+  1000-cell fleet; the final watermark must stay within 1.3x of the
+  50-cell watermark.  (``ru_maxrss`` is monotone, so ordering the small
+  batch first is what makes the ratio meaningful.)
 
 A shard identity check rides along: ``--shard 1/2`` union ``--shard
 2/2`` of the base grid must be bit-identical to the unsharded run.
+Parent heap peaks come from a separate ``tracemalloc`` pass over the
+base grid after every timed phase: forked workers inherit the tracer
+and slow down about tenfold, so it never runs inside a timed region.
 
 ``--smoke`` shrinks the grid for CI and writes
 ``results/bench_sweep_smoke.json``; the full run writes the committed
@@ -38,14 +42,14 @@ import tracemalloc
 from pathlib import Path
 
 from repro import __version__
-from repro.analysis import ExperimentSpec, run_cells
+from repro.analysis import ExperimentSpec, execute_cell, run_cells
+from repro.ebpf import clear_translation_cache, translation_cache_stats
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Cheap workloads so the benchmark times the executor, not the apps.
 WORKLOADS = ("silo", "xapian")
 
-HIT_RATE_FLOOR = 0.99
 RSS_CEILING = 1.3
 
 
@@ -69,29 +73,52 @@ def _rss_kb() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
 
-def _run(specs, *, jobs, work_dir, tag, code_cache, spill=True):
-    spill_path = work_dir / f"spill-{tag}.jsonl" if spill else None
+def _run(specs, *, jobs, work_dir, tag):
+    """One pooled batch from an empty translation cache, spilled."""
+    clear_translation_cache()
     t0 = time.perf_counter()
-    sink, stats = run_cells(specs, jobs=jobs, spill=spill_path,
-                            code_cache=code_cache)
+    sink, stats = run_cells(specs, jobs=jobs,
+                            spill=work_dir / f"spill-{tag}.jsonl")
     wall = time.perf_counter() - t0
     return sink, stats, wall
 
 
-def _hit_rate(translation: dict) -> float:
-    """Disk hit rate over cacheable (compiled-tier) lookups only."""
-    looked_up = translation["disk_hits"] + translation["disk_misses"]
-    return translation["disk_hits"] / looked_up if looked_up else 0.0
+def _distinct_programs(requests: int) -> int:
+    """Programs the grid attaches: one in-process cell per workload
+    against an empty cache translates each of them exactly once."""
+    clear_translation_cache()
+    for spec in _grid(len(WORKLOADS), requests):
+        execute_cell(spec)
+    distinct = translation_cache_stats()["translations"]
+    clear_translation_cache()
+    return distinct
 
 
 def _shard_identity(specs, baseline, *, jobs, work_dir) -> dict:
     union = [None] * len(specs)
     for i in (1, 2):
-        sink, _, _ = _run(specs, jobs=jobs, work_dir=work_dir,
-                          tag=f"shard{i}", code_cache=False)
+        sink, _ = run_cells(specs, jobs=jobs, shard=f"{i}/2",
+                            spill=work_dir / f"spill-shard{i}.jsonl")
         for pos, result in sink.iter_results():
             union[pos] = result
     return {"cells": len(specs), "identical": _dicts(union) == baseline}
+
+
+def _heap_peak_kb(specs, *, jobs, work_dir) -> int:
+    """Parent heap peak over one untimed batch, traced by tracemalloc."""
+    tracemalloc.start()
+    try:
+        run_cells(specs, jobs=jobs, spill=work_dir / "spill-heap.jsonl")
+        return tracemalloc.get_traced_memory()[1] // 1024
+    finally:
+        tracemalloc.stop()
+
+
+def _phase(stats, wall: float) -> dict:
+    return {"wall_s": round(wall, 3),
+            "cells_per_s": round(stats.computed / wall, 2) if wall else None,
+            "spilled": stats.spilled,
+            "translation": stats.translation}
 
 
 def run_benchmark(cells: int, base_cells: int, requests: int, jobs: int,
@@ -99,41 +126,31 @@ def run_benchmark(cells: int, base_cells: int, requests: int, jobs: int,
     work_dir = REPO_ROOT / "results" / ".bench-sweep"
     shutil.rmtree(work_dir, ignore_errors=True)
     work_dir.mkdir(parents=True)
-    code_dir = work_dir / "codecache"
 
     try:
-        tracemalloc.start()
-
         # Phase 1 — the small batch, FIRST (ru_maxrss is monotone).
         print(f"base:  {base_cells} cells x {requests} requests "
               f"(jobs={jobs}, spill on)")
         base_specs = _grid(base_cells, requests)
         base_sink, base_stats, base_wall = _run(
-            base_specs, jobs=jobs, work_dir=work_dir, tag="base",
-            code_cache=False)
+            base_specs, jobs=jobs, work_dir=work_dir, tag="base")
         base_rss_kb = _rss_kb()
-        base_heap_kb = tracemalloc.get_traced_memory()[1] // 1024
-        tracemalloc.reset_peak()
         baseline = _dicts(base_sink.materialize())
 
-        # Phase 2 — cold fleet: empty disk cache, everything translates.
+        # Phase 2 — the fleet.
         specs = _grid(cells, requests)
-        print(f"cold:  {len(specs)} cells, fresh code cache at {code_dir}")
-        _, cold_stats, cold_wall = _run(specs, jobs=jobs, work_dir=work_dir,
-                                        tag="cold", code_cache=code_dir)
-
-        # Phase 3 — warm fleet: fresh worker processes, same directory.
-        print("warm:  same grid, second fleet against the populated cache")
-        _, warm_stats, warm_wall = _run(specs, jobs=jobs, work_dir=work_dir,
-                                        tag="warm", code_cache=code_dir)
+        print(f"fleet: {len(specs)} cells")
+        _, fleet_stats, fleet_wall = _run(specs, jobs=jobs,
+                                          work_dir=work_dir, tag="fleet")
         full_rss_kb = _rss_kb()
-        full_heap_kb = tracemalloc.get_traced_memory()[1] // 1024
-        tracemalloc.stop()
 
-        # Phase 4 — shard identity on the base grid.
+        # Untimed checks and measurements.
         print("shard: 1/2 union 2/2 vs the unsharded base run")
         shard = _shard_identity(base_specs, baseline, jobs=jobs,
                                 work_dir=work_dir)
+        distinct = _distinct_programs(requests)
+        print(f"heap:  tracemalloc pass over the {base_cells}-cell grid")
+        heap_kb = _heap_peak_kb(base_specs, jobs=jobs, work_dir=work_dir)
     finally:
         shutil.rmtree(work_dir, ignore_errors=True)
 
@@ -145,47 +162,28 @@ def run_benchmark(cells: int, base_cells: int, requests: int, jobs: int,
         "base_cells": base_cells,
         "requests": requests,
         "jobs": jobs,
-        "base": {"wall_s": round(base_wall, 3),
-                 "spilled": base_stats.spilled},
-        "cold": {"wall_s": round(cold_wall, 3),
-                 "spilled": cold_stats.spilled,
-                 "translation": cold_stats.translation},
-        "warm": {"wall_s": round(warm_wall, 3),
-                 "spilled": warm_stats.spilled,
-                 "translation": warm_stats.translation,
-                 "disk_hit_rate": round(_hit_rate(warm_stats.translation), 4)},
+        "distinct_programs": distinct,
+        "base": _phase(base_stats, base_wall),
+        "fleet": _phase(fleet_stats, fleet_wall),
         "shard": shard,
         "rss": {"base_kb": base_rss_kb, "full_kb": full_rss_kb,
                 "ratio": round(full_rss_kb / base_rss_kb, 4)},
-        "heap": {"base_peak_kb": base_heap_kb, "full_peak_kb": full_heap_kb},
-        "limits": {"hit_rate_floor": HIT_RATE_FLOOR,
-                   "rss_ceiling": RSS_CEILING},
+        "heap": {"base_peak_kb": heap_kb},
+        "limits": {"rss_ceiling": RSS_CEILING},
     }
 
 
 def gate(record: dict, println=print) -> int:
     """Judge the record against its gates; returns the failure count."""
     failures = 0
-    warm = record["warm"]
 
-    hit_rate = warm["disk_hit_rate"]
-    verdict = "FAIL" if hit_rate < HIT_RATE_FLOOR else "ok"
-    println(f"{verdict:>4} warm disk hit rate {hit_rate:.2%} "
-            f"(floor {HIT_RATE_FLOOR:.0%})")
-    failures += hit_rate < HIT_RATE_FLOOR
-
-    translations = warm["translation"]["translations"]
-    verdict = "FAIL" if translations else "ok"
-    println(f"{verdict:>4} warm fleet translations: {translations} "
-            "(must be 0 — every program served from disk)")
-    failures += translations != 0
-
-    cold_ns = record["cold"]["translation"]["translate_ns"]
-    warm_ns = warm["translation"]["translate_ns"]
-    verdict = "FAIL" if warm_ns > cold_ns else "ok"
-    println(f"{verdict:>4} translate time amortized: "
-            f"{warm_ns}ns warm vs {cold_ns}ns cold")
-    failures += warm_ns > cold_ns
+    translations = record["fleet"]["translation"]["translations"]
+    bound = record["jobs"] * record["distinct_programs"]
+    verdict = "FAIL" if translations > bound else "ok"
+    println(f"{verdict:>4} fleet translations: {translations} "
+            f"(bound {record['jobs']} jobs x {record['distinct_programs']} "
+            f"distinct programs = {bound})")
+    failures += translations > bound
 
     ratio = record["rss"]["ratio"]
     verdict = "FAIL" if ratio > RSS_CEILING else "ok"

@@ -51,6 +51,7 @@ from .analysis.figures import series_table, sparkline
 from .analysis.report import load_results, render_report
 from .analysis.results import results_dir
 from .core.config import CorrelateConfig, ExportConfig
+from .ebpf.compiled import VM_TIERS
 from .sim.timebase import MSEC
 from .workloads import get_workload, workload_keys, WORKLOADS
 
@@ -114,10 +115,7 @@ def _cmd_run(args) -> int:
     definition = get_workload(args.workload)
     rate = args.rps if args.rps else definition.paper_fail_rps * args.load
     spec = _spec_from_run_args(args, definition, rate)
-    levels, stats = run_cells(
-        [spec], jobs=args.jobs, cache=_cache_from(args),
-        code_cache=_code_cache_from(args),
-    )
+    levels, stats = run_cells([spec], jobs=args.jobs, cache=_cache_from(args))
     level = levels[0]
     if level is None:
         for error in stats.errors:
@@ -172,7 +170,6 @@ def _cmd_sweep(args) -> int:
         cache=_cache_from(args),
         progress=progress,
         shard=args.shard,
-        code_cache=_code_cache_from(args),
     )
     if args.save:
         save_sweep(result, args.save)
@@ -420,7 +417,7 @@ def _add_monitor_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--monitor", choices=("native", "vm", "stream"),
                         default="native",
                         help="collection strategy (default native)")
-    parser.add_argument("--vm-tier", choices=("reference", "fast", "compiled"),
+    parser.add_argument("--vm-tier", choices=VM_TIERS,
                         default="compiled",
                         help="eBPF VM tier for vm/stream monitors")
     parser.add_argument("--cpus", type=_positive_int, default=1,
@@ -436,19 +433,8 @@ def _add_executor_flags(parser: argparse.ArgumentParser) -> None:
                         help="bypass the on-disk result cache")
     parser.add_argument("--cache-dir", default=None,
                         help="result cache directory (default results/.cache)")
-    parser.add_argument("--no-code-cache", action="store_true",
-                        help="bypass the cross-process compiled-program cache")
-    parser.add_argument("--code-cache-dir", default=None, metavar="DIR",
-                        help="compiled-program cache directory "
-                             "(default results/.codecache)")
     parser.add_argument("--json", action="store_true",
                         help="emit machine-readable LevelResult JSON")
-
-
-def _code_cache_from(args):
-    if args.no_code_cache:
-        return False
-    return args.code_cache_dir  # None -> default resolution (env, then on)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -11,12 +11,6 @@ from .compiled import (
     compile_insns,
     make_vm,
 )
-from .diskcache import (
-    DiskCodeCache,
-    disable_disk_cache,
-    disk_cache_stats,
-    enable_disk_cache,
-)
 from .context import (
     SYS_ENTER_ARGS_OFF,
     SYS_ENTER_CTX_SIZE,
@@ -29,20 +23,16 @@ from .context import (
     pack_sys_exit,
 )
 from .errors import AssemblerError, BpfError, MapError, VerifierError, VmFault
-from .fastvm import (
-    DecodedProgram,
-    FastVm,
-    TranslationCache,
-    clear_translation_cache,
-    decode_program,
-    translation_cache_stats,
-)
 from .helpers import HELPER_SIGS, Helper, HelperRuntime
 from .insn import Insn, decode, encode
 from .maps import ArrayMap, BpfMap, HashMap, PerfEventArray, RingBuf
 from .opcodes import AluOp, InsnClass, JmpOp, MemMode, MemSize, Reg, Src
 from .program import Program
-from .tools import Syscount, SyscallLatencyHist, render_histogram
+from .translation import (
+    TranslationCache,
+    clear_translation_cache,
+    translation_cache_stats,
+)
 from .verifier import verify
 from .vm import DEFAULT_INSN_COST_NS, STACK_SIZE, Vm, VmResult
 
@@ -53,22 +43,15 @@ __all__ = [
     "ProgType",
     "Vm",
     "VmResult",
-    "FastVm",
     "CompiledVm",
     "CompiledProgram",
     "compile_insns",
     "make_vm",
     "VM_TIERS",
     "DEFAULT_VM_TIER",
-    "DecodedProgram",
     "TranslationCache",
-    "decode_program",
     "translation_cache_stats",
     "clear_translation_cache",
-    "DiskCodeCache",
-    "enable_disk_cache",
-    "disable_disk_cache",
-    "disk_cache_stats",
     "verify",
     "Insn",
     "encode",
@@ -103,9 +86,6 @@ __all__ = [
     "SYS_EXIT_CTX_SIZE",
     "pack_sys_enter",
     "pack_sys_exit",
-    "Syscount",
-    "SyscallLatencyHist",
-    "render_histogram",
     "compile_source",
     "load_c",
     "CompileError",

@@ -37,10 +37,10 @@ MapLike = Union[BpfMap, RingBuf, PerfEventArray]
 class BPF:
     """Loads programs against a kernel and manages attachments.
 
-    Programs run on the highest VM tier by default (the compiled tier,
-    falling back per program where its code generator bails).  Pass
-    ``vm_tier`` (``"reference"``/``"fast"``/``"compiled"``) to pin a
-    tier, or ``vm`` for a pre-built interpreter instance; all tiers are
+    Programs run on the compiled VM tier by default (falling back to the
+    reference interpreter per program where its code generator bails).
+    Pass ``vm_tier`` (``"reference"``/``"compiled"``) to pin a tier, or
+    ``vm`` for a pre-built interpreter instance; both tiers are
     bit-for-bit identical.  ``cpu_of`` maps a tracepoint context to the
     CPU the probe observes itself on (``bpf_get_smp_processor_id`` and
     the per-CPU ``perf_event_output`` buffer index); the default pins
@@ -104,14 +104,9 @@ class BPF:
         return self.maps[map_name]
 
     def translation_stats(self) -> Dict[str, int]:
-        """Translation-cache counters for the VM behind this BPF object.
-
-        Includes a ``"disk"`` sub-dict when a cross-process
-        :class:`~repro.ebpf.diskcache.DiskCodeCache` backend is attached
-        (see :func:`~repro.ebpf.diskcache.enable_disk_cache`), so a
-        harness can check whether an attach was a memory hit, a disk
-        hit, or a fresh translation.
-        """
+        """Translation-cache counters for the VM behind this BPF object:
+        ``hits``/``misses`` over content lookups, ``translations`` and
+        ``translate_ns`` (empty for the reference tier)."""
         cache = getattr(self.vm, "cache", None)
         return cache.stats() if cache is not None else {}
 

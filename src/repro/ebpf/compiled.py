@@ -1,11 +1,9 @@
 """The compiled eBPF tier: whole-program translation to one Python function.
 
-The three VM tiers share one bit-for-bit semantics contract:
+The two VM tiers share one bit-for-bit semantics contract:
 
 * :class:`~repro.ebpf.vm.Vm` — the reference interpreter, re-deriving
   everything per step;
-* :class:`~repro.ebpf.fastvm.FastVm` — pre-decoded micro-op closures,
-  one Python call per instruction;
 * :class:`CompiledVm` (this module) — the whole program translated
   **once** into a single Python source function and compiled with
   ``compile()``/``exec``, so the steady state pays no per-instruction
@@ -17,9 +15,12 @@ is forward and control flow can be emitted as straight-line blocks with
 cheap *forward-goto* guards: block ``k`` is wrapped in ``if _skip <= k:``
 and a taken jump simply sets ``_skip`` to the target block id.  A not
 taken branch falls through with ``_skip`` unchanged.  Registers live in
-local variables ``r0``..``r10``; constants, masked immediates, helper
-signatures, map references, and pre-encoded store blobs are bound into
-the function's namespace at translation time.
+local variables ``r0``..``r10``; instructions, helper signatures, access
+sizes, store blobs and map references are read from the function's exec
+namespace under per-pc names (``I``/``G``/``Z``/``B``/``M`` + pc), which
+:func:`rebind_namespace` fills from the caller's instructions.  The
+generated source and its code object are therefore a pure function of
+the instruction wire encoding.
 
 Semantics contract: identical ``(r0, steps, cost_ns)``, identical map
 effects, and identical fault messages to the reference interpreter.
@@ -30,28 +31,27 @@ in-bounds stack/ctx/map-value pointers) inline and falls back to the
 registers, pointer arithmetic oddities, out-of-bounds accesses — so
 faults reproduce the reference messages verbatim.  Instruction steps are
 accumulated per block (each executed slot counts exactly once, a fused
-``ld_imm64`` counts one step, exactly as both interpreters count), and
+``ld_imm64`` counts one step, exactly as the interpreter counts), and
 the cost model is ``helper_cost + steps * insn_cost_ns``, shared with
-the interpreters through :func:`~repro.ebpf.vm.call_helper`.
+the interpreter through :func:`~repro.ebpf.vm.call_helper`.
 
 Programs the generator does not support — backward jumps (unverified
 input), jumps into the second slot of an ``ld_imm64`` pair, unresolved
 map references, unknown helpers or opcodes, non-imm64 LD forms —
-**fall back to FastVm**, which replicates reference faults exactly;
-:meth:`CompiledVm.execute` is therefore total over the same input space
-as the interpreters.  Translations are cached in the process-wide
-:class:`~repro.ebpf.fastvm.TranslationCache` under the ``"compiled"``
-tier, sharing blob-keyed entries with the fast tier so attaching one
-program under two tiers never double-translates.
+**fall back to the reference** :class:`~repro.ebpf.vm.Vm`, so
+:meth:`CompiledVm.execute` is total over the interpreter's input space.
+Translations are cached process-wide by
+:class:`~repro.ebpf.translation.TranslationCache`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+import hashlib
+from typing import List, NamedTuple, Optional, Sequence
 
 from .errors import VmFault
 from .helpers import HELPER_SIGS, INLINE_SAFE_HELPERS, Helper, HelperRuntime
-from .insn import Insn
+from .insn import Insn, encode
 from .maps import ArrayMap, BpfMap, PerfEventArray, RingBuf
 from .opcodes import AluOp, InsnClass, JmpOp, MemSize
 from .vm import (
@@ -72,21 +72,14 @@ from .vm import (
 __all__ = [
     "CompiledProgram",
     "CompiledVm",
+    "Translation",
     "VM_TIERS",
     "DEFAULT_VM_TIER",
-    "CODEGEN_TAG",
     "compile_insns",
     "rebind_namespace",
+    "translate",
     "make_vm",
 ]
-
-#: Version stamp of the code generator's output contract.  The on-disk
-#: compiled-code cache (:mod:`repro.ebpf.diskcache`) keys entries on this
-#: tag: bump it whenever the generated source, the namespace binding
-#: scheme (``I``/``G``/``Z``/``B``/``M`` names), or the calling
-#: convention of ``_prog`` changes shape, so stale entries can never be
-#: executed by a newer generator.
-CODEGEN_TAG = "cg1"
 
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
@@ -97,8 +90,9 @@ _SIGN64 = 1 << 63
 #: (stateless, so one shared instance is safe).
 _REF = Vm()
 
-#: The VM tiers, lowest to highest.  ``make_vm`` accepts any of these.
-VM_TIERS = ("reference", "fast", "compiled")
+#: The VM tiers, lowest to highest.  ``make_vm``, ``BPF``, collector
+#: configs, experiment specs and the CLI all accept exactly these.
+VM_TIERS = ("reference", "compiled")
 
 #: Tier picked by attach sites when the caller does not choose one.
 DEFAULT_VM_TIER = "compiled"
@@ -109,7 +103,7 @@ DEFAULT_VM_TIER = "compiled"
 # ----------------------------------------------------------------------
 
 class _Unsupported(Exception):
-    """Internal: construct the generator cannot translate (-> FastVm)."""
+    """Internal: construct the generator cannot translate (-> reference Vm)."""
 
 
 class _Emitter:
@@ -180,31 +174,11 @@ class _Codegen:
     def __init__(self, insns: Sequence[Insn]) -> None:
         self.insns = insns
         self.n = len(insns)
-        self.ns: dict = {
-            "VmFault": VmFault,
-            "Pointer": Pointer,
-            "MapRef": MapRef,
-            "MemRegion": MemRegion,
-            "ArrayMap": ArrayMap,
-            "PerfEventArray": PerfEventArray,
-            "_alu": _REF._alu,
-            "_branch": _REF._branch,
-            "_load": mem_load,
-            "_store": mem_store,
-            "_call": call_helper,
-            "_ifb": int.from_bytes,
-        }
         self.emitter = _Emitter()
         leaders, self.skip_slots = _find_leaders(insns)
         self.block_of = {pc: index for index, pc in enumerate(leaders)}
         self.leaders = leaders
         self.nblocks = len(leaders)
-
-    # -- namespace helpers ------------------------------------------------
-    def _bind(self, prefix: str, pc: int, value) -> str:
-        name = f"{prefix}{pc}"
-        self.ns[name] = value
-        return name
 
     def _target_block(self, target: int) -> int:
         """Block id for a jump target; ``n`` maps past the last block."""
@@ -241,7 +215,7 @@ class _Codegen:
 
         if op not in _ALU_OPS:
             raise _Unsupported(f"unknown ALU op {op:#x} at pc {pc}")
-        iname = self._bind("I", pc, insn)
+        iname = f"I{pc}"
         a_expr = dst if is64 else f"({dst} & {_MASK32})"
         fallback = [
             f"    scratch[{insn.dst}] = {dst}",
@@ -257,7 +231,7 @@ class _Codegen:
             put(f"    {dst} = {expr}")
             if op in (AluOp.ADD, AluOp.SUB):
                 # Pointer bumps (r2 = r10; r2 += -8) fire on every probe
-                # invocation: give them an inline case, as FastVm does.
+                # invocation: give them an inline case.
                 delta = _to_signed(b, 64)
                 if op == AluOp.SUB:
                     delta = -delta
@@ -346,7 +320,7 @@ class _Codegen:
             if inline is not None:
                 put("_fb = 1")
                 self.emitter.putall(inline(sig.cost_ns))
-            gname = self._bind("G", pc, sig)
+            gname = f"G{pc}"
             if inline is not None:
                 put("if _fb:")
                 body = self.emitter
@@ -384,7 +358,7 @@ class _Codegen:
         mask = _MASK32 if is32 else _MASK64
         bits = 32 if is32 else 64
         dst = f"r{insn.dst}"
-        iname = self._bind("I", pc, insn)
+        iname = f"I{pc}"
 
         a_expr = f"({dst} & {_MASK32})" if is32 else dst
         if not insn.uses_reg_source:
@@ -433,7 +407,7 @@ class _Codegen:
         put = self.emitter.put
         size = MemSize(insn.opcode & 0x18)
         nb = size.nbytes
-        zname = self._bind("Z", pc, size)
+        zname = f"Z{pc}"
         dst, src, off = f"r{insn.dst}", f"r{insn.src}", insn.off
         put(f"if {src}.__class__ is Pointer:")
         put(f"    _d = {src}.region.data")
@@ -450,7 +424,7 @@ class _Codegen:
         size = MemSize(insn.opcode & 0x18)
         nb = size.nbytes
         vmask = (1 << (8 * nb)) - 1
-        zname = self._bind("Z", pc, size)
+        zname = f"Z{pc}"
         dst, src, off = f"r{insn.dst}", f"r{insn.src}", insn.off
         # 8-byte stores skip the value mask: the register invariant keeps
         # every int register inside [0, 2**64) already.
@@ -473,9 +447,8 @@ class _Codegen:
         size = MemSize(insn.opcode & 0x18)
         nb = size.nbytes
         value = insn.imm & _MASK64
-        blob = (value & ((1 << (8 * nb)) - 1)).to_bytes(nb, "little")
-        zname = self._bind("Z", pc, size)
-        bname = self._bind("B", pc, blob)
+        zname = f"Z{pc}"
+        bname = f"B{pc}"
         dst, off = f"r{insn.dst}", insn.off
         put(f"if {dst}.__class__ is Pointer and {dst}.region.writable:")
         put(f"    _d = {dst}.region.data")
@@ -491,13 +464,7 @@ class _Codegen:
         put = self.emitter.put
         dst = f"r{insn.dst}"
         if insn.is_map_load:
-            ref = insn.map_ref
-            if not isinstance(ref, (BpfMap, RingBuf, PerfEventArray)):
-                raise _Unsupported(f"unresolved map reference {ref!r}")
-            # MapRef is immutable and only ever null-checked, so one shared
-            # instance per translation matches the reference observably.
-            mname = self._bind("M", pc, MapRef(ref))
-            put(f"{dst} = {mname}")
+            put(f"{dst} = M{pc}")
             return
         value = ((self.insns[pc + 1].imm & _MASK32) << 32) | (insn.imm & _MASK32)
         put(f"{dst} = {value}")
@@ -674,47 +641,67 @@ _JMP_OPS = frozenset(
 
 
 class CompiledProgram:
-    """A program translated to one compiled Python function.
+    """A compiled program bound to one set of live maps.
 
     ``fn(ctx_bytes, runtime, insn_cost_ns, scratch)`` returns the
     ``(r0, steps, cost_ns)`` triple; ``source`` keeps the generated text
-    for diagnostics and tests, and ``code`` the compiled module code
-    object — the piece the on-disk cache persists (it is marshal-able:
-    every non-constant the generated source touches rides in through the
-    exec namespace, never through the code object itself).
+    for diagnostics and tests, and ``code`` the shared code object.
     """
 
     __slots__ = ("fn", "source", "n", "code")
 
-    def __init__(self, fn, source: str, n: int, code=None) -> None:
+    def __init__(self, fn, source: str, n: int, code) -> None:
         self.fn = fn
         self.source = source
         self.n = n
         self.code = code
 
 
-def compile_insns(insns: Sequence[Insn]) -> Optional[CompiledProgram]:
-    """Translate a program to a compiled function, or ``None`` if any
-    construct is outside the generator's supported subset (the caller
-    falls back to :class:`~repro.ebpf.fastvm.FastVm`)."""
+class Translation(NamedTuple):
+    """The map-free output of the code generator for one encoding."""
+
+    code: object
+    source: str
+    n: int
+
+    def bind(self, namespace: dict) -> CompiledProgram:
+        """Execute the code in a namespace from :func:`rebind_namespace`."""
+        exec(self.code, namespace)  # noqa: S102 - our own codegen output
+        return CompiledProgram(namespace["_prog"], self.source, self.n, self.code)
+
+
+def translate(insns: Sequence[Insn]) -> Optional[Translation]:
+    """Generate and compile the source for ``insns``, or ``None`` if any
+    construct is outside the generator's supported subset.
+
+    A pure function of ``encode(insns)``: map references are never read
+    here, only bound later.  Each code object is labelled
+    ``<ebpf-compiled:DIGEST>`` (the first 12 hex digits of the encoding's
+    SHA-256), so profiles tell programs apart.
+    """
     if len(insns) >= MAX_STEPS:
         # Loop-free execution could still exhaust the reference budget;
-        # leave that pathology to the interpreters.
+        # leave that pathology to the interpreter.
         return None
     try:
-        codegen = _Codegen(insns)
-        source = codegen.generate()
+        source = _Codegen(insns).generate()
     except _Unsupported:
         return None
-    namespace = codegen.ns
-    code = compile(source, "<ebpf-compiled>", "exec")
-    exec(code, namespace)  # noqa: S102
-    return CompiledProgram(namespace["_prog"], source, len(insns), code)
+    digest = hashlib.sha256(encode(insns)).hexdigest()[:12]
+    code = compile(source, f"<ebpf-compiled:{digest}>", "exec")
+    return Translation(code, source, len(insns))
 
 
-#: Static names every generated program's namespace carries (the
-#: non-per-pc half of ``_Codegen.ns``); :func:`rebind_namespace` seeds
-#: rebuilt namespaces from this template.
+def compile_insns(insns: Sequence[Insn]) -> Optional[CompiledProgram]:
+    """Translate and bind a program without any cache, or ``None`` when
+    the compiled tier would run it on the reference interpreter."""
+    namespace = rebind_namespace(insns)
+    translation = translate(insns) if namespace is not None else None
+    return translation.bind(namespace) if translation is not None else None
+
+
+#: Names every generated program's namespace carries besides the per-pc
+#: bindings; :func:`rebind_namespace` seeds each namespace from it.
 _STATIC_NS = {
     "VmFault": VmFault,
     "Pointer": Pointer,
@@ -732,23 +719,20 @@ _STATIC_NS = {
 
 
 def rebind_namespace(insns: Sequence[Insn]) -> Optional[dict]:
-    """Rebuild the exec namespace of a generated program from ``insns``.
+    """Build the exec namespace of a generated program from ``insns``.
 
-    The generated source is a pure function of the instruction *wire
-    encoding* — map loads compile to ``rN = M<pc>`` with the map object
-    living only in the namespace — which is what makes compiled
-    translations shareable across processes: the on-disk cache persists
-    the source/code keyed on the wire blob and this function re-binds the
-    per-pc names (``I`` insns, ``G`` helper sigs, ``Z`` sizes, ``B``
-    store blobs, ``M`` map refs) against the *caller's* live maps.  It
-    deliberately over-binds — a name is bound for every pc that could
-    need one, whether or not the generator ended up referencing it —
-    so it never has to replicate the generator's emission choices.
+    Binds the per-pc names the generated source reads (``I`` insns, ``G``
+    helper sigs, ``Z`` sizes, ``B`` store blobs, ``M`` map refs) against
+    the *caller's* live maps.  It deliberately over-binds — a name is
+    bound for every pc that could need one, whether or not the generator
+    ended up referencing it — so it never has to replicate the
+    generator's emission choices.  ``MapRef`` is immutable and only ever
+    null-checked, so one shared instance per binding matches the
+    reference observably.
 
     Returns ``None`` when ``insns`` cannot satisfy the bindings (an
-    unresolved map reference, an unknown helper): the caller must then
-    translate from scratch, which reproduces the generator's own
-    unsupported verdict.
+    unresolved map reference, an unknown helper, a malformed LD): the
+    generator would decline such a program too.
     """
     ns = dict(_STATIC_NS)
     skip = False
@@ -791,24 +775,23 @@ class CompiledVm(Vm):
     """Drop-in :class:`Vm` executing whole-program translations.
 
     Bit-for-bit identical to the reference interpreter (enforced by the
-    differential suites in ``tests/ebpf/``); falls back to
-    :class:`FastVm` — sharing the same translation cache — for programs
-    the code generator does not support.
+    differential suites in ``tests/ebpf/``); programs the code generator
+    does not support run on the reference interpreter itself.
     """
 
     def __init__(self, insn_cost_ns: int = DEFAULT_INSN_COST_NS,
                  cache=None) -> None:
         super().__init__(insn_cost_ns)
-        from .fastvm import _GLOBAL_CACHE, FastVm
-
-        self.cache = cache if cache is not None else _GLOBAL_CACHE
-        self._fallback = FastVm(insn_cost_ns, cache=self.cache)
+        if cache is None:
+            from .translation import _GLOBAL_CACHE as cache
+        self.cache = cache
         self._scratch: list = [None] * 11
 
     def prepare(self, insns: Sequence[Insn]):
         """Per-program executor with the compiled function bound directly:
         the per-firing path is one Python call plus the VmResult wrap.
 
+        Binds the cached translation to ``insns``' maps once per call.
         The returned callable carries a ``raw`` attribute —
         ``(fn, insn_cost_ns, scratch)`` — so a hot attach site (the bcc
         probe) can call the compiled function itself and consume the
@@ -816,9 +799,15 @@ class CompiledVm(Vm):
         VmResult allocation entirely.  ``fn`` requires ``ctx`` to
         already be ``bytes``.
         """
-        compiled = self.cache.get_compiled(insns)
+        compiled = self.cache.bind(insns)
         if compiled is None:
-            return self._fallback.prepare(insns)
+            reference = super().execute
+
+            def run_reference(ctx: bytes,
+                              runtime: Optional[HelperRuntime] = None) -> VmResult:
+                return reference(insns, ctx, runtime)
+
+            return run_reference
         fn = compiled.fn
         insn_cost_ns = self.insn_cost_ns
         scratch = self._scratch
@@ -842,7 +831,7 @@ class CompiledVm(Vm):
     ) -> VmResult:
         compiled = self.cache.get_compiled(insns)
         if compiled is None:
-            return self._fallback.execute(insns, ctx, runtime)
+            return super().execute(insns, ctx, runtime)
         if type(ctx) is not bytes:
             ctx = bytes(ctx)
         r0, steps, cost = compiled.fn(
@@ -855,19 +844,15 @@ class CompiledVm(Vm):
 def make_vm(tier: str = DEFAULT_VM_TIER,
             insn_cost_ns: int = DEFAULT_INSN_COST_NS,
             cache=None) -> Vm:
-    """Build the VM for a tier name (``reference``/``fast``/``compiled``).
+    """Build the VM for a tier name (one of :data:`VM_TIERS`).
 
-    All tiers are bit-for-bit identical; higher tiers are strictly
-    faster.  Attach sites (``BPF``, the collectors, ``ExperimentSpec``)
-    accept the tier name so cached experiment results record which tier
+    Both tiers are bit-for-bit identical; the compiled tier is faster.
+    Attach sites (``BPF``, the collectors, ``ExperimentSpec``) accept
+    the tier name so cached experiment results record which tier
     produced them.
     """
     if tier == "reference":
         return Vm(insn_cost_ns)
-    if tier == "fast":
-        from .fastvm import FastVm
-
-        return FastVm(insn_cost_ns, cache=cache)
     if tier == "compiled":
         return CompiledVm(insn_cost_ns, cache=cache)
     raise ValueError(f"unknown vm tier {tier!r}; available: {VM_TIERS}")

@@ -110,9 +110,9 @@ class Vm:
 
         Attach sites that fire the same program millions of times (the
         tracepoint probes in :mod:`repro.ebpf.bcc`) call this once per
-        program.  The faster tiers override it to resolve their
-        translation up front so the per-firing path skips every cache
-        probe; the reference interpreter simply curries :meth:`execute`.
+        program.  The compiled tier overrides it to bind its translation
+        up front so the per-firing path skips every cache probe; the
+        reference interpreter simply curries :meth:`execute`.
         """
         execute = self.execute
 
@@ -366,7 +366,7 @@ class Vm:
 
 # ----------------------------------------------------------------------
 # shared semantics (used by both the reference interpreter above and the
-# pre-decoded fast path in :mod:`repro.ebpf.fastvm`)
+# slow paths of the generated code in :mod:`repro.ebpf.compiled`)
 # ----------------------------------------------------------------------
 def _resolve(target: RegValue, off: int, size: int, for_write: bool):
     if not isinstance(target, Pointer):
@@ -416,7 +416,7 @@ def call_helper(sig, regs: List[RegValue], runtime: HelperRuntime) -> int:
     """Run one helper call against the register file; returns its cost_ns.
 
     This is the single source of truth for helper semantics *and* the
-    helper half of the probe cost model — both interpreter tiers dispatch
+    helper half of the probe cost model — both VM tiers dispatch
     here, which is what keeps EXP-OVH bit-for-bit stable across them.
     """
     args = [regs[r] for r in (Reg.R1, Reg.R2, Reg.R3, Reg.R4, Reg.R5)]

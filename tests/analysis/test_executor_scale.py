@@ -3,7 +3,7 @@ bounded-inflight submission, worker-crash recovery, and telemetry.
 
 The invariant under test everywhere: every fleet-scale knob is purely an
 execution-strategy choice — ``jobs=N``, ``shard="i/N"``, ``spill=...``,
-and the disk code cache all produce :class:`LevelResult`\\ s bit-identical
+all produce :class:`LevelResult`\\ s bit-identical
 to the serial in-memory path.
 """
 
@@ -15,6 +15,7 @@ import pytest
 from repro.analysis import ExperimentSpec, run_cells
 from repro.analysis.executor import ResultCache, ResultSpill, parse_shard
 from repro.analysis.executor import pool as pool_mod
+from repro.ebpf import clear_translation_cache, translation_cache_stats
 
 
 def _grid(cells=6, requests=120):
@@ -30,7 +31,7 @@ def _dicts(results):
 @pytest.fixture(scope="module")
 def serial_baseline():
     specs = _grid()
-    results, stats = run_cells(specs, jobs=1, code_cache=False)
+    results, stats = run_cells(specs, jobs=1)
     assert stats.failed == 0
     return specs, _dicts(results)
 
@@ -49,8 +50,7 @@ class TestSharding:
         specs, baseline = serial_baseline
         union = [None] * len(specs)
         for i in (1, 2, 3):
-            results, stats = run_cells(specs, jobs=1, shard=f"{i}/3",
-                                       code_cache=False)
+            results, stats = run_cells(specs, jobs=1, shard=f"{i}/3")
             assert stats.shard == f"{i}/3"
             for pos, result in enumerate(results):
                 owned = pos % 3 == i - 1
@@ -64,8 +64,7 @@ class TestSharding:
         specs, _ = serial_baseline
         totals = []
         for i in (1, 2):
-            _, stats = run_cells(specs, jobs=1, shard=f"{i}/2",
-                                 code_cache=False)
+            _, stats = run_cells(specs, jobs=1, shard=f"{i}/2")
             totals.append(stats.total)
         assert sum(totals) == len(specs)
 
@@ -75,10 +74,8 @@ class TestSharding:
         specs, baseline = serial_baseline
         cache = ResultCache(tmp_path)
         for i in (1, 2):
-            run_cells(specs, jobs=1, shard=f"{i}/2", cache=cache,
-                      code_cache=False)
-        results, stats = run_cells(specs, jobs=1, cache=cache,
-                                   code_cache=False)
+            run_cells(specs, jobs=1, shard=f"{i}/2", cache=cache)
+        results, stats = run_cells(specs, jobs=1, cache=cache)
         assert stats.computed == 0
         assert stats.cache_hits == len(specs)
         assert _dicts(results) == baseline
@@ -88,8 +85,7 @@ class TestSpill:
     def test_spill_materializes_bit_identical(self, tmp_path, serial_baseline):
         specs, baseline = serial_baseline
         spill, stats = run_cells(specs, jobs=1,
-                                 spill=tmp_path / "batch.jsonl",
-                                 code_cache=False)
+                                 spill=tmp_path / "batch.jsonl")
         assert isinstance(spill, ResultSpill)
         assert stats.spilled == len(specs)
         assert len(spill.summaries) == len(specs)
@@ -98,8 +94,7 @@ class TestSpill:
     def test_spill_file_is_line_oriented_json(self, tmp_path, serial_baseline):
         specs, _ = serial_baseline
         spill, _ = run_cells(specs[:3], jobs=1,
-                             spill=tmp_path / "batch.jsonl",
-                             code_cache=False)
+                             spill=tmp_path / "batch.jsonl")
         lines = spill.path.read_text().splitlines()
         assert len(lines) == 3
         for line in lines:
@@ -108,8 +103,7 @@ class TestSpill:
 
     def test_spill_random_access_and_iteration(self, tmp_path, serial_baseline):
         specs, baseline = serial_baseline
-        spill, _ = run_cells(specs, jobs=1, spill=tmp_path / "b.jsonl",
-                             code_cache=False)
+        spill, _ = run_cells(specs, jobs=1, spill=tmp_path / "b.jsonl")
         assert spill.get(2).to_dict() == baseline[2]
         assert spill.get(len(specs) + 5) is None
         streamed = dict(spill.iter_results())
@@ -120,8 +114,7 @@ class TestSpill:
         merged = [None] * len(specs)
         for i in (1, 2):
             spill, _ = run_cells(specs, jobs=1, shard=f"{i}/2",
-                                 spill=tmp_path / f"shard{i}.jsonl",
-                                 code_cache=False)
+                                 spill=tmp_path / f"shard{i}.jsonl")
             for pos, result in spill.iter_results():
                 merged[pos] = result
         assert _dicts(merged) == baseline
@@ -143,8 +136,7 @@ class TestBoundedInflight:
 
         monkeypatch.setattr(pool_mod.ProcessPoolExecutor, "submit",
                             counting_submit)
-        results, _ = run_cells(specs, jobs=2, max_inflight=2,
-                               code_cache=False)
+        results, _ = run_cells(specs, jobs=2, max_inflight=2)
         assert _dicts(results) == baseline
         # Never more than max_inflight submissions queued at once (the
         # old implementation pickled the whole batch up front).
@@ -168,7 +160,7 @@ class TestCrashRecovery:
             return real_worker(payload)
 
         monkeypatch.setattr(pool_mod, "_cell_worker", flaky_worker)
-        results, stats = run_cells(specs, jobs=2, code_cache=False)
+        results, stats = run_cells(specs, jobs=2)
         assert stats.failed == 0
         assert stats.retried >= 1
         assert stats.computed == len(specs)
@@ -189,7 +181,7 @@ class TestCrashRecovery:
             return real_execute(spec, **kwargs)
 
         monkeypatch.setattr(pool_mod, "execute_cell", deterministic_bug)
-        results, stats = run_cells(specs, jobs=1, code_cache=False)
+        results, stats = run_cells(specs, jobs=1)
         assert stats.failed == 1
         assert stats.computed == len(specs) - 1
         assert results[2] is None
@@ -202,39 +194,41 @@ class TestCrashRecovery:
 
 
 class TestTelemetry:
-    def test_translation_counters_aggregate_across_workers(self, tmp_path,
+    def test_translation_counters_aggregate_across_workers(self,
                                                            serial_baseline):
+        """Each worker translates each distinct program at most once, so
+        a pooled batch is bounded by ``jobs`` x distinct programs."""
         specs, baseline = serial_baseline
-        code_dir = tmp_path / "codecache"
+        clear_translation_cache()
+        _, serial = run_cells(specs, jobs=1)
+        distinct = serial.translation["translations"]
+        assert distinct == translation_cache_stats()["entries"] >= 1
 
-        cold_results, cold = run_cells(specs, jobs=2, code_cache=code_dir)
-        assert _dicts(cold_results) == baseline
-        assert cold.translation is not None
-        assert cold.translation["translations"] >= 1
-        assert cold.translation["disk_writes"] >= 1
-
-        warm_results, warm = run_cells(specs, jobs=2, code_cache=code_dir)
-        assert _dicts(warm_results) == baseline
-        # Second fleet: every compiled-tier translation comes from disk.
-        assert warm.translation["translations"] == 0
-        assert warm.translation["disk_hits"] >= 1
-        assert warm.translation["disk_writes"] == 0
+        clear_translation_cache()
+        results, pooled = run_cells(specs, jobs=2)
+        assert _dicts(results) == baseline
+        assert set(pooled.translation) == {
+            "hits", "misses", "translations", "translate_ns",
+        }
+        assert distinct <= pooled.translation["translations"] <= 2 * distinct
+        lookups = pooled.translation["hits"] + pooled.translation["misses"]
+        assert lookups > pooled.translation["translations"]
 
     def test_result_cache_counters_in_stats(self, tmp_path, serial_baseline):
         specs, _ = serial_baseline
         cache = ResultCache(tmp_path / "rc")
-        _, cold = run_cells(specs, jobs=1, cache=cache, code_cache=False)
+        _, cold = run_cells(specs, jobs=1, cache=cache)
         assert cold.result_cache == {
             "hits": 0, "misses": len(specs), "puts": len(specs),
         }
-        _, warm = run_cells(specs, jobs=1, cache=cache, code_cache=False)
+        _, warm = run_cells(specs, jobs=1, cache=cache)
         assert warm.result_cache == {
             "hits": len(specs), "misses": 0, "puts": 0,
         }
 
     def test_stats_to_dict_is_json_serializable(self, serial_baseline):
         specs, _ = serial_baseline
-        _, stats = run_cells(specs[:2], jobs=1, code_cache=False)
+        _, stats = run_cells(specs[:2], jobs=1)
         payload = json.loads(json.dumps(stats.to_dict()))
         for key in ("total", "cache_hits", "computed", "wall_s", "failed",
                     "retried", "errors", "shard", "spilled", "translation",

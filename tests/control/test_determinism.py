@@ -32,7 +32,7 @@ def test_jobs_fanout_is_bit_identical():
 
 def test_vm_and_sim_tiers_are_bit_identical():
     results = {}
-    for vm_tier in ("reference", "fast", "compiled"):
+    for vm_tier in ("reference", "compiled"):
         for sim_tier in ("reference", "compiled"):
             spec = _controlled_spec(monitor_mode="vm", vm_tier=vm_tier, sim_tier=sim_tier)
             results[(vm_tier, sim_tier)] = execute_cell(spec).to_dict()

@@ -88,7 +88,7 @@ class TestShardedVmNativeEquivalence:
 class TestShardedTierIdentity:
     def test_all_tiers_identical(self):
         results = []
-        for tier in ("reference", "fast", "compiled"):
+        for tier in ("reference", "compiled"):
             kernel = _kernel()
             proc = _threaded_server(kernel)
             collector = DeltaCollector(
@@ -99,7 +99,7 @@ class TestShardedTierIdentity:
             results.append((collector.snapshot(),
                             dict(collector.bpf.invocations),
                             dict(collector.bpf.insns_executed)))
-        assert results[0] == results[1] == results[2]
+        assert results[0] == results[1]
 
 
 class TestShardingSemantics:

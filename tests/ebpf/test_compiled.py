@@ -1,13 +1,12 @@
 """Differential suite for the compiled VM tier.
 
-The three tiers — reference interpreter (:class:`Vm`), pre-decoded
-closures (:class:`FastVm`), whole-program translation
-(:class:`CompiledVm`) — must be observationally indistinguishable: the
-same ``(r0, steps, cost_ns)`` triple per invocation, the same map
-contents afterwards, and the same :class:`VmFault` message when a
-program dies.  This file proves it three ways: the real collector
-corpus, hypothesis-fuzzed programs (verified *and* faulting), and a
-table of hand-crafted fault shapes.
+The two tiers — reference interpreter (:class:`Vm`) and whole-program
+translation (:class:`CompiledVm`) — must be observationally
+indistinguishable: the same ``(r0, steps, cost_ns)`` triple per
+invocation, the same map contents afterwards, and the same
+:class:`VmFault` message when a program dies.  This file proves it three
+ways: the real collector corpus, hypothesis-fuzzed programs (verified
+*and* faulting), and tables of hand-crafted fault shapes.
 """
 
 import random
@@ -26,10 +25,13 @@ from repro.core.streaming import build_streaming_program
 from repro.ebpf import (
     ArrayMap,
     Asm,
+    DEFAULT_INSN_COST_NS,
+    HELPER_SIGS,
     CompiledVm,
-    FastVm,
     HashMap,
+    Helper,
     HelperRuntime,
+    Insn,
     MemSize,
     PerfEventArray,
     ProgType,
@@ -44,6 +46,7 @@ from repro.ebpf import (
     pack_sys_exit,
     verify,
 )
+from repro.ebpf.bpfc import compile_source
 from repro.ebpf.compiled import DEFAULT_VM_TIER, VM_TIERS
 from repro.kernel.tracepoints import SysEnterCtx, SysExitCtx
 
@@ -62,7 +65,6 @@ def _fresh_tiers():
     """One VM per tier, each with private caches so runs never share state."""
     return {
         "reference": Vm(),
-        "fast": FastVm(cache=TranslationCache()),
         "compiled": CompiledVm(cache=TranslationCache()),
     }
 
@@ -77,7 +79,7 @@ def _outcome(vm, insns, ctx, runtime=None):
 
 
 # ----------------------------------------------------------------------
-# real-program corpus: the paper's collectors, all three tiers
+# real-program corpus: the paper's collectors, both tiers
 # ----------------------------------------------------------------------
 
 def _map_state(bpf_map):
@@ -153,7 +155,7 @@ def _dispatch(programs, ctx):
                          ids=lambda c: c if isinstance(c, str) else "")
 def test_corpus_identical_across_three_tiers(name, build):
     """Every firing's (r0, steps, cost_ns) and the final map contents must
-    match across all three tiers on the paper's real collector programs."""
+    match across both tiers on the paper's real collector programs."""
     outcomes = {}
     for tier, vm in _fresh_tiers().items():
         programs, maps, firings = build()
@@ -168,12 +170,43 @@ def test_corpus_identical_across_three_tiers(name, build):
                 per_firing.append((result.r0, result.steps, result.cost_ns))
         outcomes[tier] = (per_firing,
                           {n: _map_state(m) for n, m in maps.items()})
-    assert outcomes["reference"] == outcomes["fast"] == outcomes["compiled"]
+    assert outcomes["reference"] == outcomes["compiled"]
+
+
+@pytest.mark.parametrize("name,build", _corpus_cases(),
+                         ids=lambda c: c if isinstance(c, str) else "")
+def test_corpus_programs_identical(name, build):
+    """The prepared per-program runner — the attach-site hot path — must
+    match the reference interpreter firing for firing, maps included."""
+    outcomes = {}
+    for tier in ("reference", "prepared"):
+        programs, maps, firings = build()
+        if tier == "reference":
+            vm = Vm()
+            runners = {id(p): (lambda p: lambda blob, runtime:
+                               vm.execute(p.insns, blob, runtime))(p)
+                       for p in programs}
+        else:
+            vm = CompiledVm(cache=TranslationCache())
+            runners = {id(p): vm.prepare(p.insns) for p in programs}
+            assert all(hasattr(run, "raw") for run in runners.values())
+        per_firing = []
+        for ctx in firings:
+            blob = (pack_sys_enter(ctx) if isinstance(ctx, SysEnterCtx)
+                    else pack_sys_exit(ctx))
+            runtime = HelperRuntime(ktime_ns=ctx.ktime_ns,
+                                    pid_tgid=ctx.pid_tgid, cpu_id=0)
+            for program in _dispatch(programs, ctx):
+                result = runners[id(program)](blob, runtime)
+                per_firing.append((result.r0, result.steps, result.cost_ns))
+        outcomes[tier] = (per_firing,
+                          {n: _map_state(m) for n, m in maps.items()})
+    assert outcomes["reference"] == outcomes["prepared"]
 
 
 def test_collector_programs_do_not_fall_back():
     """The collectors are the hot path; the compiled tier must actually
-    compile them, not silently serve them through the FastVm fallback."""
+    compile them, not silently serve them through the reference fallback."""
     state = ArrayMap(value_size=_DELTA_VALUE_SIZE, max_entries=1, name="state")
     program = (build_delta_program("state", TGID, [0, 1])
                .resolve_maps({"state": state}).verify())
@@ -296,7 +329,7 @@ def test_fault_messages_identical(name, build):
     outcomes = {tier: _outcome(vm, insns, ctx)
                 for tier, vm in _fresh_tiers().items()}
     assert outcomes["reference"][0] == "fault"
-    assert outcomes["reference"] == outcomes["fast"] == outcomes["compiled"]
+    assert outcomes["reference"] == outcomes["compiled"]
 
 
 # ----------------------------------------------------------------------
@@ -313,10 +346,10 @@ def _looping_program():
     return asm.build()
 
 
-def test_backward_jump_falls_back_to_fastvm():
+def test_backward_jump_falls_back_to_reference():
     """Loops are outside the loop-free codegen subset: compile_insns
-    declines, and CompiledVm transparently serves the program through its
-    FastVm fallback with identical results."""
+    declines, and CompiledVm serves the program on the reference
+    interpreter itself, with the same result."""
     insns = _looping_program()
     assert compile_insns(insns) is None
     ctx = bytes(CTX_SIZE)
@@ -325,37 +358,41 @@ def test_backward_jump_falls_back_to_fastvm():
     assert (compiled.r0, compiled.steps, compiled.cost_ns) == \
         (reference.r0, reference.steps, reference.cost_ns)
 
+    # prepare() falls back the same way.
+    run = CompiledVm(cache=TranslationCache()).prepare(insns)
+    assert not hasattr(run, "raw")
+    prepared = run(ctx)
+    assert (prepared.r0, prepared.steps, prepared.cost_ns) == \
+        (reference.r0, reference.steps, reference.cost_ns)
+
 
 def test_make_vm_factory():
+    assert VM_TIERS == ("reference", "compiled")
     assert type(make_vm("reference")) is Vm
-    assert type(make_vm("fast")) is FastVm
     assert type(make_vm("compiled")) is CompiledVm
     assert DEFAULT_VM_TIER in VM_TIERS
     assert type(make_vm()) is CompiledVm
-    with pytest.raises(ValueError, match="unknown vm tier"):
-        make_vm("jit")
+    for retired in ("fast", "jit"):
+        with pytest.raises(ValueError, match="unknown vm tier"):
+            make_vm(retired)
 
 
-def test_compiled_vm_shares_cache_with_fallback():
-    cache = TranslationCache()
-    vm = CompiledVm(cache=cache)
-    assert vm.cache is cache
-    assert vm._fallback.cache is cache
-
-
-def test_cache_keys_tiers_separately():
-    """One program, both tiers: two cache entries, hit on re-request."""
+def test_cache_keys_programs_by_encoding():
+    """One program through both entry points: get_compiled and bind share
+    a single translation; re-requests hit."""
     cache = TranslationCache()
     state = ArrayMap(value_size=_DELTA_VALUE_SIZE, max_entries=1, name="state")
     program = (build_delta_program("state", TGID, [0])
                .resolve_maps({"state": state}).verify())
-    decoded = cache.get(program.insns)
-    compiled = cache.get_compiled(program.insns)
-    assert decoded is not None and compiled is not None
-    assert cache.stats()["entries"] == 2
-    assert cache.get(program.insns) is decoded
-    assert cache.get_compiled(program.insns) is compiled
-    assert cache.stats()["misses"] == 2
+    memoized = cache.get_compiled(program.insns)
+    bound = cache.bind(program.insns)
+    assert memoized is not None and bound is not None
+    assert bound is not memoized  # bind always returns a fresh binding
+    assert bound.code is memoized.code
+    assert cache.get_compiled(program.insns) is memoized
+    assert cache.stats()["entries"] == 1
+    assert cache.stats()["translations"] == 1
+    assert cache.stats()["misses"] == 1
     assert cache.stats()["hits"] == 2
 
 
@@ -368,6 +405,8 @@ def test_cache_remembers_unsupported_programs():
     misses = cache.stats()["misses"]
     assert cache.get_compiled(insns) is None
     assert cache.stats()["misses"] == misses  # second probe is a hit
+    assert cache.bind(list(insns)) is None  # equal content, new list
+    assert cache.stats()["translations"] == 1
 
 
 def test_runtime_state_consumed_identically():
@@ -395,7 +434,7 @@ def test_runtime_state_consumed_identically():
         return (result.r0, result.steps, result.cost_ns, next(counter))
 
     runs = {tier: run(vm) for tier, vm in _fresh_tiers().items()}
-    assert runs["reference"] == runs["fast"] == runs["compiled"]
+    assert runs["reference"] == runs["compiled"]
     # exactly two prandom draws happened before the probe drew 102
     assert runs["reference"][-1] == 102
 
@@ -408,3 +447,177 @@ def test_compiled_source_is_inspectable():
     compiled = compile_insns(program.insns)
     assert "def _prog(" in compiled.source
     assert compiled.n == len(program.insns)
+
+
+def test_cost_and_steps_unchanged_on_delta_program():
+    """Explicit cost-model pin: the compiled tier charges exactly
+    steps * DEFAULT_INSN_COST_NS plus the helpers' signature costs."""
+    ctx = SysEnterCtx(pid_tgid=PID_TGID, syscall_nr=0, ktime_ns=123_456)
+    runs = {}
+    for tier, vm in _fresh_tiers().items():
+        state = ArrayMap(value_size=_DELTA_VALUE_SIZE, max_entries=1, name="state")
+        program = (build_delta_program("state", TGID, [0])
+                   .resolve_maps({"state": state}).verify())
+        runtime = HelperRuntime(ktime_ns=ctx.ktime_ns, pid_tgid=ctx.pid_tgid, cpu_id=0)
+        result = vm.execute(program.insns, pack_sys_enter(ctx), runtime)
+        runs[tier] = (result.r0, result.steps, result.cost_ns)
+    assert runs["reference"] == runs["compiled"]
+    _r0, steps, cost_ns = runs["compiled"]
+    helper_cost = (HELPER_SIGS[Helper.GET_CURRENT_PID_TGID].cost_ns
+                   + HELPER_SIGS[Helper.KTIME_GET_NS].cost_ns
+                   + HELPER_SIGS[Helper.MAP_LOOKUP_ELEM].cost_ns)
+    assert cost_ns == steps * DEFAULT_INSN_COST_NS + helper_cost
+
+
+def _both_fault(insns, ctx=b"\x00" * CTX_SIZE):
+    with pytest.raises(VmFault) as reference:
+        Vm().execute(insns, ctx)
+    with pytest.raises(VmFault) as compiled:
+        CompiledVm(cache=TranslationCache()).execute(insns, ctx)
+    assert str(compiled.value) == str(reference.value)
+    return str(compiled.value)
+
+
+class TestFaultParity:
+    """Fault-for-fault equality on unverified programs, covering both the
+    generated slow paths and the programs the generator declines."""
+
+    def test_mov_from_uninitialized(self):
+        asm = Asm()
+        asm.mov_reg(Reg.R0, Reg.R5)
+        asm.exit_()
+        assert "uninitialized" in _both_fault(asm.build())
+
+    def test_alu_on_uninitialized(self):
+        asm = Asm()
+        asm.add_imm(Reg.R3, 4)
+        asm.exit_()
+        assert "uninitialized" in _both_fault(asm.build())
+
+    def test_out_of_bounds_store(self):
+        asm = Asm()
+        asm.mov_imm(Reg.R2, 1)
+        asm.stx(MemSize.DW, Reg.R10, 8, Reg.R2)  # above the stack top
+        asm.exit_()
+        assert "out-of-bounds" in _both_fault(asm.build())
+
+    def test_write_to_read_only_ctx(self):
+        asm = Asm()
+        asm.mov_imm(Reg.R2, 1)
+        asm.stx(MemSize.DW, Reg.R1, 0, Reg.R2)
+        asm.exit_()
+        assert "read-only" in _both_fault(asm.build())
+
+    def test_store_of_non_scalar(self):
+        asm = Asm()
+        asm.stx(MemSize.DW, Reg.R10, -8, Reg.R1)  # R1 is the ctx pointer
+        asm.exit_()
+        assert "non-scalar" in _both_fault(asm.build())
+
+    def test_load_through_non_pointer(self):
+        asm = Asm()
+        asm.mov_imm(Reg.R2, 5)
+        asm.ldx(MemSize.DW, Reg.R0, Reg.R2, 0)
+        asm.exit_()
+        assert "non-pointer" in _both_fault(asm.build())
+
+    def test_jump_out_of_bounds(self):
+        insns = [Insn(opcode=0x05, off=40)]  # ja +40, far past the end
+        assert "pc 41 out of program bounds" in _both_fault(insns)
+
+    def test_unknown_helper_id(self):
+        asm = Asm()
+        asm.call(9999)
+        asm.exit_()
+        assert _both_fault(asm.build()) == "unknown helper id 9999"
+
+    def test_exit_with_non_scalar_r0(self):
+        asm = Asm()
+        asm.mov_reg(Reg.R0, Reg.R1)
+        asm.exit_()
+        assert "non-scalar r0" in _both_fault(asm.build())
+
+    def test_unresolved_map_reference(self):
+        asm = Asm()
+        asm.ld_map_fd(Reg.R1, "nowhere")
+        asm.mov_imm(Reg.R0, 0)
+        asm.exit_()
+        assert "unresolved map reference" in _both_fault(asm.build())
+
+    def test_jump_into_ld_imm64_second_slot(self):
+        insns = [
+            Insn(opcode=0x05, off=1),  # ja +1 -> lands mid-pair
+            Insn(opcode=0x18, dst=0, imm=7),
+            Insn(opcode=0x00, imm=0),
+            Insn(opcode=0x95),
+        ]
+        assert "unsupported LD insn" in _both_fault(insns)
+
+    def test_instruction_budget_exhausted(self, monkeypatch):
+        import repro.ebpf.vm as vm_mod
+
+        monkeypatch.setattr(vm_mod, "MAX_STEPS", 64)
+        insns = [Insn(opcode=0x05, off=-1)]  # ja -1: infinite loop
+        assert "budget exhausted" in _both_fault(insns)
+
+    def test_empty_program(self):
+        assert "pc 0 out of program bounds" in _both_fault([])
+
+
+# The paper's Listing 1 through bpfc: the tiers must agree on compiler
+# output, not just hand assembly.
+LISTING_1 = """
+BPF_HASH(start, u64, u64);
+BPF_HASH(stats, u64, u64);
+
+TRACEPOINT_PROBE(raw_syscalls, sys_enter) {
+    u64 pid_tgid = bpf_get_current_pid_tgid();
+    if (pid_tgid != PID_TGID) return 0;
+    if (args->id != 232) return 0;
+    u64 t = bpf_ktime_get_ns();
+    start.update(&pid_tgid, &t);
+    return 0;
+}
+
+TRACEPOINT_PROBE(raw_syscalls, sys_exit) {
+    u64 pid_tgid = bpf_get_current_pid_tgid();
+    if (pid_tgid != PID_TGID) return 0;
+    if (args->id != 232) return 0;
+    u64 *start_ns = start.lookup(&pid_tgid);
+    if (!start_ns) return 0;
+    u64 end_ns = bpf_ktime_get_ns();
+    u64 duration = end_ns - *start_ns;
+    u64 key = 0;
+    u64 *total = stats.lookup(&key);
+    if (!total) {
+        stats.update(&key, &duration);
+        u64 one = 1;
+        u64 count_key = 1;
+        stats.update(&count_key, &one);
+        return 0;
+    }
+    *total += duration;
+    stats.increment(1);
+    return 0;
+}
+"""
+
+
+def test_listing1_identical_across_tiers():
+    outcomes = {}
+    for tier, vm in _fresh_tiers().items():
+        unit = compile_source(LISTING_1, constants={"PID_TGID": PID_TGID})
+        programs = [p.resolve_maps(unit.maps).verify() for p in unit.programs]
+        per_firing = []
+        for ctx in _enter_exit_seq(seed=4):
+            blob = (pack_sys_enter(ctx) if isinstance(ctx, SysEnterCtx)
+                    else pack_sys_exit(ctx))
+            runtime = HelperRuntime(ktime_ns=ctx.ktime_ns,
+                                    pid_tgid=ctx.pid_tgid, cpu_id=0)
+            for program in _dispatch(programs, ctx):
+                result = vm.execute(program.insns, blob, runtime)
+                per_firing.append((result.r0, result.steps, result.cost_ns))
+        outcomes[tier] = (per_firing,
+                          {n: _map_state(m) for n, m in unit.maps.items()})
+        assert all(compile_insns(p.insns) is not None for p in programs)
+    assert outcomes["reference"] == outcomes["compiled"]

@@ -75,7 +75,7 @@ class TestCollectorConfig:
         assert config.export.window_ns == 5 * MSEC
 
     def test_round_trip(self):
-        config = CollectorConfig(mode="stream", vm_tier="fast", cpus=2,
+        config = CollectorConfig(mode="stream", vm_tier="reference", cpus=2,
                                  capacity=128, charge_cost=True,
                                  export=ExportConfig(window_ns=5 * MSEC))
         assert CollectorConfig.from_dict(config.to_dict()) == config

@@ -22,7 +22,6 @@ from repro.sim import MSEC, Environment, SeedSequence
 CONFIGS = [
     ("native", None),
     ("vm", "reference"),
-    ("vm", "fast"),
     ("vm", "compiled"),
     ("stream", None),
 ]

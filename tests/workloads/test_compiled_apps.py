@@ -86,7 +86,8 @@ def test_auto_sim_tier_follows_vm_tier():
     assert spec.sim_tier == "auto"
     assert spec.replace(vm_tier="compiled").resolved_sim_tier == "compiled"
     assert spec.replace(vm_tier="reference").resolved_sim_tier == "reference"
-    assert spec.replace(vm_tier="fast").resolved_sim_tier == "reference"
+    with pytest.raises(ValueError, match="vm_tier"):
+        spec.replace(vm_tier="fast")
     assert spec.replace(vm_tier="compiled",
                         sim_tier="reference").resolved_sim_tier == "reference"
 
