@@ -110,7 +110,8 @@ def step_export_overhead(ctx: StepContext) -> None:
 
 def step_exporter_roundtrip(ctx: StepContext) -> None:
     """One scrape over real HTTP, then oneshot expositions through the
-    bundled strict parser (both dialects)."""
+    bundled strict parser (both dialects) — from ``serve`` and from a
+    ``run`` cell that exports and correlates on the same window bus."""
     serve = (
         "-m",
         "repro",
@@ -128,6 +129,29 @@ def step_exporter_roundtrip(ctx: StepContext) -> None:
     ctx.python("-m", "repro.export.parser", stdin_data=text, capture=True)
     openmetrics = ctx.python(*serve, "--oneshot", "--openmetrics", capture=True)
     ctx.python("-m", "repro.export.parser", stdin_data=openmetrics, capture=True)
+    combined = json.loads(
+        ctx.python(
+            "-m",
+            "repro",
+            "run",
+            "data-caching",
+            "--requests",
+            "300",
+            "--export-window-ms",
+            "100",
+            "--correlate",
+            "--json",
+            "--cache-dir",
+            str(ctx.tmpdir / "repro-cache"),
+            capture=True,
+        )
+    )
+    if not (combined.get("extra") or {}).get("correlation"):
+        raise StepFailure("export + correlate run emitted no correlation report")
+    for dialect in ("text", "openmetrics"):
+        ctx.python(
+            "-m", "repro.export.parser", stdin_data=combined["export"][dialect], capture=True
+        )
 
 
 def step_sweep_scale(ctx: StepContext) -> None:

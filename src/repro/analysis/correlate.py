@@ -6,7 +6,8 @@ the two layers disagree, who is right?*  We own both layers natively: the
 client knows ground-truth request outcomes (completions with latencies,
 retries, abandons — :attr:`~repro.loadgen.OpenLoopClient.outcome_log`),
 and the monitor sees the syscalls (per-window
-:class:`~repro.core.MetricsSnapshot`\\ s closed by :class:`WindowRecorder`).
+:class:`~repro.core.MetricsSnapshot`\\ s delivered by the monitor's window
+bus, :meth:`~repro.core.RequestMetricsMonitor.subscribe`).
 The correlator joins the two streams window by window and classifies each
 window into a four-way discrepancy taxonomy:
 
@@ -41,10 +42,11 @@ loop.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from statistics import median
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import CorrelateConfig
-from ..core.monitor import MetricsSnapshot, RequestMetricsMonitor
+from ..core.monitor import MetricsSnapshot
 
 __all__ = [
     "AGREE_DEGRADED",
@@ -53,7 +55,7 @@ __all__ = [
     "KERNEL_SILENT",
     "TAXONOMY",
     "CorrelationReport",
-    "WindowRecorder",
+    "KernelBaseline",
     "WindowVerdict",
     "correlate_windows",
     "correlation_of",
@@ -69,67 +71,6 @@ TAXONOMY = (AGREE_HEALTHY, AGREE_DEGRADED, KERNEL_SILENT, APP_SILENT)
 
 #: Labels that represent a cross-layer disagreement.
 DISCREPANT = (KERNEL_SILENT, APP_SILENT)
-
-
-class WindowRecorder:
-    """Closes one :class:`MetricsSnapshot` window every ``window_ns``.
-
-    The sim-time twin of the export loop, minus the exporter: windows land
-    in :attr:`windows` for post-hoc correlation.  Like the export loop it
-    keeps a simulated event pending forever, so cells drive the
-    environment with an explicit ``env.run(until=...)`` target.
-    """
-
-    def __init__(
-        self,
-        monitor: RequestMetricsMonitor,
-        window_ns: int,
-        on_window=None,
-    ) -> None:
-        """``on_window`` (optional): callable invoked as
-        ``on_window(snapshot)`` right after each full window is appended —
-        the in-run consumer hook the closed-loop controller
-        (:mod:`repro.control`) decides from.  Not called for the partial
-        tail window closed by :meth:`finish`."""
-        if window_ns < 1:
-            raise ValueError(f"window_ns must be >= 1, got {window_ns}")
-        self.monitor = monitor
-        self.window_ns = window_ns
-        self.on_window = on_window
-        self.windows: List[MetricsSnapshot] = []
-        self._finished = False
-
-    def start(self) -> "WindowRecorder":
-        env = self.monitor.kernel.env
-        env.process(self._loop(), name="correlate-windows")
-        return self
-
-    def _loop(self):
-        env = self.monitor.kernel.env
-        while not self._finished:
-            yield env.timeout(self.window_ns)
-            if self._finished:
-                return
-            snapshot = self.monitor.snapshot(reset=True)
-            self.windows.append(snapshot)
-            if self.on_window is not None:
-                self.on_window(snapshot)
-
-    def finish(self) -> List[MetricsSnapshot]:
-        """Close the partial tail window and stop the loop; returns all
-        windows.  The tail is kept only when it covers real time, so the
-        window sequence stays contiguous and gap-free."""
-        if not self._finished:
-            self._finished = True
-            tail = self.monitor.snapshot(reset=True)
-            if tail.duration_ns > 0:
-                self.windows.append(tail)
-        return self.windows
-
-    def merged(self) -> MetricsSnapshot:
-        """The whole-run composite view (carried-anchor window semantics
-        make this bit-identical to an unwindowed snapshot)."""
-        return MetricsSnapshot.merge_all(self.windows)
 
 
 @dataclass
@@ -258,12 +199,58 @@ class CorrelationReport:
         return "\n".join(lines)
 
 
-def _median(values: Sequence[float]) -> float:
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return float(ordered[mid])
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
+@dataclass(frozen=True)
+class KernelBaseline:
+    """A run's own robust baselines and the kernel-side trouble signals
+    judged against them — shared by the correlator and the controller
+    (:mod:`repro.control`), each of which picks the windows that feed the
+    pools.  The dispersion knee is a robust z-score against the
+    median/MAD of send-delta cov², the MAD floored at 10 % of the median
+    so perfectly regular runs (MAD ~ 0) don't turn microscopic wiggles
+    into huge z-scores.  A pool of fewer than three windows forms no
+    baseline, and its signal never fires.
+    """
+
+    cov2: Optional[float] = None
+    cov2_scale: Optional[float] = None
+    poll_ns: Optional[float] = None
+
+    @classmethod
+    def from_pools(
+        cls, cov2_pool: Sequence[float], poll_pool: Sequence[float]
+    ) -> "KernelBaseline":
+        cov2 = scale = poll = None
+        if len(cov2_pool) >= 3:
+            cov2 = median(cov2_pool)
+            mad = median([abs(x - cov2) for x in cov2_pool])
+            scale = max(mad, 0.1 * cov2, 1e-3)
+        if len(poll_pool) >= 3:
+            poll = median(poll_pool)
+        return cls(cov2=cov2, cov2_scale=scale, poll_ns=poll)
+
+    def signals(self, snapshot: MetricsSnapshot, config) -> List[str]:
+        """The ``confidence`` / ``dispersion-knee`` / ``slack-collapse``
+        signals ``snapshot`` fires, in that order.  ``config`` is a
+        :class:`~repro.core.config.CorrelateConfig` or
+        :class:`~repro.core.config.ControlConfig` (same threshold names)."""
+        fired: List[str] = []
+        if snapshot.overall_confidence < config.confidence_floor:
+            fired.append("confidence")
+        if self.cov2 is not None and snapshot.send.count >= config.min_events:
+            cov2 = snapshot.send.cov2()
+            if (
+                cov2 > config.cov2_floor
+                and (cov2 - self.cov2) / self.cov2_scale > config.knee_multiplier
+            ):
+                fired.append("dispersion-knee")
+        if (
+            self.poll_ns is not None
+            and self.poll_ns > 0
+            and snapshot.poll.count > 0
+            and snapshot.poll_mean_duration_ns < self.poll_ns / config.slack_ratio
+        ):
+            fired.append("slack-collapse")
+        return fired
 
 
 @dataclass
@@ -336,8 +323,8 @@ def correlate_windows(
     """Join per-window kernel snapshots with client ground truth and
     classify every window into the discrepancy taxonomy.
 
-    ``snapshots`` are the contiguous windows a :class:`WindowRecorder`
-    closed; ``outcomes`` is the client's timestamped outcome log;
+    ``snapshots`` are the contiguous windows the monitor's window bus
+    delivered; ``outcomes`` is the client's timestamped outcome log;
     ``qos_latency_ns`` is the workload's QoS threshold (the app-side
     definition of "trouble").
     """
@@ -352,21 +339,10 @@ def correlate_windows(
     # workload-independent: moses' natural response chunking gives it 30x
     # data-caching's baseline dispersion, but both runs know their own
     # normal.
-    cov2_pool = [
-        s.send.cov2() for s in snapshots if s.send.count >= config.min_events
-    ]
-    poll_pool = [
-        float(s.poll_mean_duration_ns) for s in snapshots if s.poll.count > 0
-    ]
-    baseline_cov2 = _median(cov2_pool) if len(cov2_pool) >= 3 else None
-    baseline_poll = _median(poll_pool) if len(poll_pool) >= 3 else None
-    if baseline_cov2 is not None:
-        mad = _median([abs(x - baseline_cov2) for x in cov2_pool])
-        # Floor the scale so perfectly regular runs (MAD ~ 0) don't turn
-        # microscopic wiggles into huge z-scores.
-        cov2_scale = max(mad, 0.1 * baseline_cov2, 1e-3)
-    else:
-        cov2_scale = None
+    baseline = KernelBaseline.from_pools(
+        [s.send.cov2() for s in snapshots if s.send.count >= config.min_events],
+        [float(s.poll_mean_duration_ns) for s in snapshots if s.poll.count > 0],
+    )
 
     # Pass 1: raw per-window signals.
     qos_limit = config.qos_multiplier * qos_latency_ns
@@ -391,26 +367,8 @@ def correlate_windows(
             # the first completion are setup phase, not starvation).
             app.append("starved")
 
-        kernel: List[str] = []
-        if snapshot.overall_confidence < config.confidence_floor:
-            kernel.append("confidence")
-        if (
-            baseline_cov2 is not None
-            and snapshot.send.count >= config.min_events
-            and snapshot.send.cov2() > config.cov2_floor
-            and (snapshot.send.cov2() - baseline_cov2) / cov2_scale
-            > config.knee_multiplier
-        ):
-            kernel.append("dispersion-knee")
-        if (
-            baseline_poll is not None
-            and baseline_poll > 0
-            and snapshot.poll.count > 0
-            and snapshot.poll_mean_duration_ns < baseline_poll / config.slack_ratio
-        ):
-            kernel.append("slack-collapse")
         app_sets.append(app)
-        kernel_sets.append(kernel)
+        kernel_sets.append(baseline.signals(snapshot, config))
 
     # Pass 2: persistence filter.  An *uncorroborated* pattern signal — a
     # dispersion knee or slack collapse in a window where the app reports
@@ -477,8 +435,8 @@ def correlate_windows(
         workload=workload,
         window_ns=config.window_ns,
         windows=verdicts,
-        baseline_cov2=baseline_cov2,
-        baseline_poll_ns=baseline_poll,
+        baseline_cov2=baseline.cov2,
+        baseline_poll_ns=baseline.poll_ns,
         config=config.to_dict(),
     )
 

@@ -128,7 +128,21 @@ def execute_cell(
     )
     monitor = RequestMetricsMonitor(
         kernel, app.tgid, spec=config.syscalls, config=spec.collector_config(),
-    ).attach()
+    )
+    # Window consumers subscribe to the monitor's window bus before it is
+    # attached: attach() fixes the bus's base window and starts its loop
+    # (an export stage subscribed itself when the monitor was built).
+    # ``policy="none"`` deliberately wires nothing: the cell must stay
+    # byte-identical to a control-free run (zero overhead when off).
+    controller = None
+    if spec.control is not None and spec.control.policy != "none":
+        from ...control import QoSController
+
+        controller = QoSController(app, monitor, spec.control)
+    windows: List[MetricsSnapshot] = []
+    if spec.correlate is not None:
+        monitor.subscribe(spec.correlate.window_ns, lambda window, tail: windows.append(window))
+    monitor.attach()
     send_probe = _SendTimestampProbe(kernel, app.tgid, (config.syscalls.send_nr,)).attach()
 
     client = OpenLoopClient(
@@ -143,73 +157,32 @@ def execute_cell(
         phases=spec.phases,
         retry_timeout_ns=retry_timeout_ns,
     )
-    recorder = None
-    controller = None
-    outcome_log: Optional[list] = None
-    if spec.correlate is not None:
-        # Imported lazily: repro.analysis.correlate consumes executor types
-        # through LevelResult.extra only, but keeping the import local means
-        # cells without correlation never pay for the module.
-        from ..correlate import WindowRecorder
-
-        recorder = WindowRecorder(monitor, spec.correlate.window_ns).start()
-        outcome_log = client.enable_outcome_log()
-    elif spec.control is not None and spec.control.policy != "none":
-        # ``policy="none"`` deliberately wires nothing: the cell must stay
-        # byte-identical to a control-free run (zero overhead when off).
-        from ...control import QoSController
-
-        controller = QoSController(app, monitor, spec.control).start()
+    outcome_log = client.enable_outcome_log() if spec.correlate is not None else None
     if setup is not None:
         setup(CellHandles(env=env, kernel=kernel, app=app,
                           monitor=monitor, client=client))
     client.start()
     report: ClientReport = env.run(until=client.done)
-    export_payload: Optional[dict] = None
-    extra: Optional[dict] = None
-    if recorder is not None:
+    # One close for every consumer: it delivers each one's partial tail and
+    # returns the bus's running fold of every window, which carried-anchor
+    # windows make bit-identical to an unwindowed snapshot.
+    snapshot = monitor.close()
+    extra = {}
+    if controller is not None:
+        extra["control"] = controller.summary(report, config.qos_latency_ns)
+    if spec.correlate is not None:
+        # Imported lazily, like the controller: cells without correlation
+        # never pay for the module.
         from ..correlate import correlate_windows
 
-        windows = recorder.finish()
-        # Merging the recorded windows reproduces the unwindowed totals
-        # exactly (carried-anchor window semantics), so the headline
-        # LevelResult numbers stay bit-identical to a correlate-off cell.
-        snapshot = recorder.merged() if windows else monitor.snapshot()
-        correlation = correlate_windows(
+        extra["correlation"] = correlate_windows(
             windows,
-            outcome_log or (),
+            outcome_log,
             spec.correlate,
             config.qos_latency_ns,
             workload=definition.key,
-        )
-        extra = {"correlation": correlation.to_dict()}
-    elif controller is not None:
-        windows = controller.finish()
-        # Same carried-anchor merge as the correlate path: the headline
-        # numbers stay bit-identical to an unwindowed snapshot.
-        snapshot = controller.merged() if windows else monitor.snapshot()
-        extra = {"control": controller.summary(report, config.qos_latency_ns)}
-    elif monitor.exporter is not None:
-        # Close the partial tail window, then rebuild the whole-run view by
-        # merging the exported windows — bit-identical to the unwindowed
-        # snapshot in vm/native modes (the carried-anchor window semantics
-        # partition the delta population exactly).
-        exporter = monitor.exporter
-        exporter.observe_window(monitor.snapshot(reset=True))
-        snapshot = MetricsSnapshot.merge_all(exporter.windows)
-        export_payload = {
-            "windows": len(exporter.windows),
-            "window_ns": spec.export.window_ns,
-            "window_rps": [w.rps_obsv for w in exporter.windows],
-            "window_lost": [w.lost_records for w in exporter.windows],
-            "window_confidence": [w.confidence for w in exporter.windows],
-            "scrapes": exporter.render_count,
-            "bytes_rendered": exporter.bytes_rendered,
-            "text": exporter.render(),
-            "openmetrics": exporter.render(openmetrics=True),
-        }
-    else:
-        snapshot = monitor.snapshot()
+        ).to_dict()
+    export_payload = monitor.exporter.summary() if monitor.exporter is not None else None
 
     # Steady-state trim for the per-window estimates too: sends after the
     # final offered arrival belong to the drain, not the measured load.
@@ -249,7 +222,7 @@ def execute_cell(
         utilization=kernel.cpu.utilization(),
         sim_duration_ns=env.now,
         export=export_payload,
-        extra=extra,
+        extra=extra or None,
     )
 
 

@@ -5,8 +5,10 @@ without application cooperation; eBeeMetrics — the same authors' follow-on —
 turns those signals into an actionable library.  This package builds that
 consumer inside the simulation: :class:`QoSController` reads *only* the
 windowed eBPF-derived metrics (RPS_obsv, send-delta dispersion, epoll-poll
-slack, collection confidence) through the PR 8 :class:`~repro.analysis.correlate.WindowRecorder`
-path, and actuates below the application —
+slack, collection confidence) as a subscriber of the monitor's window bus
+(:meth:`~repro.core.RequestMetricsMonitor.subscribe`), judged with the
+correlator's :class:`~repro.analysis.correlate.KernelBaseline`, and actuates
+below the application —
 
 - ``policy="shed"``: an :class:`AdmissionGate` on the server-side sockets
   rejects a deterministic fraction of inbound requests on the wire, and
@@ -18,7 +20,8 @@ the client's ground truth — the loop is closed purely through the kernel's
 own observability, which is the point of the exercise.
 
 Configuration is a frozen :class:`~repro.core.ControlConfig` attached to an
-:class:`~repro.analysis.executor.ExperimentSpec`; results land in
+:class:`~repro.analysis.executor.ExperimentSpec`, freely combined with
+export and correlation on the same window bus; results land in
 ``LevelResult.extra["control"]``.  EXP-CTL (``benchmarks/bench_closed_loop.py``)
 holds the quality bounds; :mod:`repro.control.scenarios` defines the
 evaluated scenario matrix.

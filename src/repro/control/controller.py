@@ -1,11 +1,11 @@
 """The in-sim feedback-free QoS controller and its two actuators.
 
 Signal -> decision contract (DESIGN.md §12): the controller consumes one
-:class:`~repro.core.MetricsSnapshot` per ``window_ns`` of sim time from a
-:class:`~repro.analysis.correlate.WindowRecorder` and nothing else.  The
-first ``calibrate_windows`` traffic-carrying windows establish the run's
-own baseline (median + MAD, the correlator's self-calibrating robust-z
-scheme); after that a window is *troubled* when any kernel signal fires:
+:class:`~repro.core.MetricsSnapshot` per ``window_ns`` of sim time from the
+monitor's window bus and nothing else.  The first ``calibrate_windows``
+traffic-carrying windows establish the run's own baseline (median + MAD,
+the correlator's :class:`~repro.analysis.correlate.KernelBaseline`); after
+that a window is *troubled* when any kernel signal fires:
 
 - ``confidence``: combined collection confidence below the floor (records
   were dropped — the kernel's own view is degrading);
@@ -31,9 +31,10 @@ bit-identically across VM tiers, sim tiers and process pools.
 
 from __future__ import annotations
 
+from statistics import median
 from typing import List, Optional
 
-from ..analysis.correlate import WindowRecorder, _median
+from ..analysis.correlate import KernelBaseline
 from ..net.packet import Message
 
 __all__ = ["AdmissionGate", "QoSController", "WorkerScaler"]
@@ -133,11 +134,14 @@ class QoSController:
     """Feedback-free closed loop: windowed eBPF signals in, actuation out.
 
     Wire-up (done by ``execute_cell`` when the spec carries a
-    :class:`~repro.core.ControlConfig` with ``policy != "none"``)::
+    :class:`~repro.core.ControlConfig` with ``policy != "none"``); the
+    controller subscribes to the monitor's window bus, so build it before
+    ``monitor.attach()``::
 
-        controller = QoSController(app, monitor, config).start()
+        controller = QoSController(app, monitor, config)
+        monitor.attach()
         env.run(until=client.done)
-        windows = controller.finish()
+        monitor.close()
         extra = {"control": controller.summary(report, qos_latency_ns)}
 
     The controller's only input is the window stream; ``summary`` takes the
@@ -150,7 +154,6 @@ class QoSController:
         self.monitor = monitor
         self.config = config
         self.env = monitor.kernel.env
-        self.recorder = WindowRecorder(monitor, config.window_ns, on_window=self._on_window)
         self.gate: Optional[AdmissionGate] = None
         self.scaler: Optional[WorkerScaler] = None
         if config.policy == "shed":
@@ -162,11 +165,9 @@ class QoSController:
         self.calibrated = False
         self._cov2_pool: List[float] = []
         self._poll_pool: List[float] = []
-        self.baseline_cov2: Optional[float] = None
-        self.baseline_poll_ns: Optional[float] = None
-        self.baseline_rps: Optional[float] = None
         self._rps_pool: List[float] = []
-        self._cov2_scale: Optional[float] = None
+        self.baseline = KernelBaseline()
+        self.baseline_rps: Optional[float] = None
         # Hysteresis state.
         self.engaged = False
         self.windows = 0
@@ -176,22 +177,13 @@ class QoSController:
         self._cooldown = 0
         #: Bit-reproducible action log: one entry per state change.
         self.actions: List[dict] = []
-
-    # -- lifecycle ---------------------------------------------------------
-    def start(self) -> "QoSController":
-        self.recorder.start()
-        return self
-
-    def finish(self):
-        """Stop the window loop; returns the recorded windows."""
-        return self.recorder.finish()
-
-    def merged(self):
-        """Whole-run composite snapshot (see ``WindowRecorder.merged``)."""
-        return self.recorder.merged()
+        monitor.subscribe(config.window_ns, self._on_window)
 
     # -- the decision loop -------------------------------------------------
-    def _on_window(self, snapshot) -> None:
+    def _on_window(self, snapshot, tail: bool) -> None:
+        if tail:
+            # The partial tail window closes after the run: nothing to act on.
+            return
         self.windows += 1
         if not self.calibrated:
             self._calibrate(snapshot)
@@ -228,48 +220,28 @@ class QoSController:
                 self._poll_pool.append(float(snapshot.poll_mean_duration_ns))
         if len(self._cov2_pool) < self.config.calibrate_windows:
             return
-        self.baseline_cov2 = _median(self._cov2_pool)
-        mad = _median([abs(x - self.baseline_cov2) for x in self._cov2_pool])
-        self._cov2_scale = max(mad, 0.1 * self.baseline_cov2, 1e-3)
-        self.baseline_rps = _median(self._rps_pool)
-        if len(self._poll_pool) >= 3:
-            self.baseline_poll_ns = _median(self._poll_pool)
+        self.baseline = KernelBaseline.from_pools(self._cov2_pool, self._poll_pool)
+        self.baseline_rps = median(self._rps_pool)
         self.calibrated = True
         self.actions.append(
             {
                 "window": self.windows,
                 "t_ns": self.env.now,
                 "action": "calibrated",
-                "baseline_cov2": self.baseline_cov2,
-                "baseline_poll_ns": self.baseline_poll_ns,
+                "baseline_cov2": self.baseline.cov2,
+                "baseline_poll_ns": self.baseline.poll_ns,
                 "baseline_rps": self.baseline_rps,
             }
         )
 
     def _signals(self, snapshot) -> List[str]:
-        """The correlator's kernel-side signal set, evaluated causally."""
-        config = self.config
-        fired: List[str] = []
-        if snapshot.overall_confidence < config.confidence_floor:
-            fired.append("confidence")
-        if snapshot.send.count >= config.min_events:
-            cov2 = snapshot.send.cov2()
-            if (
-                cov2 > config.cov2_floor
-                and (cov2 - self.baseline_cov2) / self._cov2_scale > config.knee_multiplier
-            ):
-                fired.append("dispersion-knee")
-        if (
-            self.baseline_poll_ns is not None
-            and self.baseline_poll_ns > 0
-            and snapshot.poll.count > 0
-            and snapshot.poll_mean_duration_ns < self.baseline_poll_ns / config.slack_ratio
-        ):
-            fired.append("slack-collapse")
+        """The correlator's kernel-side signal set, evaluated causally, plus
+        the controller's own ``rps-drop``."""
+        fired = self.baseline.signals(snapshot, self.config)
         if (
             self.baseline_rps is not None
             and self.baseline_rps > 0
-            and snapshot.rps_obsv < self.baseline_rps / config.rps_drop_ratio
+            and snapshot.rps_obsv < self.baseline_rps / self.config.rps_drop_ratio
         ):
             fired.append("rps-drop")
         return fired
@@ -313,8 +285,8 @@ class QoSController:
             "window_ns": self.config.window_ns,
             "windows": self.windows,
             "calibrated": self.calibrated,
-            "baseline_cov2": self.baseline_cov2,
-            "baseline_poll_ns": self.baseline_poll_ns,
+            "baseline_cov2": self.baseline.cov2,
+            "baseline_poll_ns": self.baseline.poll_ns,
             "baseline_rps": self.baseline_rps,
             "engaged_windows": self.engaged_windows,
             "actions": list(self.actions),

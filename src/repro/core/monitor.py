@@ -4,13 +4,16 @@
 methodology needs — send-family deltas (Eq. 1 + Eq. 2), recv-family deltas,
 and poll-family durations (saturation slack) — behind a windowed snapshot
 API.  This is the interface a management runtime (power governor, resource
-allocator) would consume (§VI).
+allocator) would consume (§VI): its window bus feeds the exporter, the
+cross-layer correlator and the closed-loop controller from one loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from functools import reduce
+from math import gcd
+from typing import Callable, Iterable, List, Optional, Union
 
 from ..kernel.kernel import Kernel
 from ..kernel.syscalls import POLL_FAMILY, RECV_FAMILY, SEND_FAMILY, SyscallSpec
@@ -185,6 +188,32 @@ class MetricsSnapshot:
             + ">"
         )
 
+
+class _Subscriber:
+    """One window-bus consumer: delivers every ``every`` base windows merged."""
+
+    def __init__(self, window_ns: int, on_window) -> None:
+        self.window_ns = window_ns
+        self.on_window = on_window
+        self.every = 1
+        self.count = 0
+        self.pending: Optional[MetricsSnapshot] = None
+
+    def offer(self, window: MetricsSnapshot, tail: bool) -> None:
+        if self.pending is not None:
+            window = self.pending.merge(window)
+        self.count += 1
+        if self.count < self.every and not tail:
+            self.pending = window
+            return
+        self.count = 0
+        self.pending = None
+        # The one tail rule: a partial tail window is delivered only if it
+        # covers time, so every consumer's sequence stays gap-free.
+        if not tail or window.duration_ns > 0:
+            self.on_window(window, tail)
+
+
 class RequestMetricsMonitor:
     """Attach/observe/window the paper's three signals for one process.
 
@@ -210,19 +239,25 @@ class RequestMetricsMonitor:
         out the perf rings (stream); ``capacity`` sizes the per-CPU perf
         rings; ``vm_tier`` pins the eBPF VM tier (all tiers bit-for-bit
         identical); ``charge_cost`` charges probe cost to traced
-        syscalls (the overhead study).  A non-``None`` ``export`` starts
-        the streaming Prometheus stage: a simulated-time loop closes a
-        window every ``export.window_ns``, feeds it to the attached
-        :class:`~repro.export.PrometheusExporter` (``self.exporter``)
-        and renders a scrape.  Poll durations always run in-kernel: in
-        stream mode the streamed record carries no entry/exit pairing,
-        exactly as in the paper's first methodology.
+        syscalls (the overhead study).  A non-``None`` ``export``
+        subscribes a :class:`~repro.export.PrometheusExporter`
+        (``self.exporter``) to the window bus: it observes a window and
+        renders a scrape every ``export.window_ns``.  Poll durations
+        always run in-kernel: in stream mode the streamed record carries
+        no entry/exit pairing, exactly as in the paper's first
+        methodology.
 
         The old per-knob keywords (``mode``, ``charge_cost``,
         ``stream_capacity``, ``vm_tier``, ``cpus``) are removed: supplying
         any of them raises :class:`TypeError` with the migration hint.
 
-    Note: with export enabled the window loop keeps a simulated event
+    The window bus: every windowed consumer (export, correlation,
+    control) :meth:`subscribe`\\ s to one sim-time loop that closes a base
+    window (the gcd of their cadences) and fans it out, merged k at a time
+    for a consumer k base windows long.  :meth:`close` delivers the tails
+    and returns the loop's running fold of every window.
+
+    Note: while subscribers exist the loop keeps a simulated event
     pending forever, so drive the environment with an explicit
     ``env.run(until=...)`` target rather than run-to-empty-schedule.
     """
@@ -271,6 +306,12 @@ class RequestMetricsMonitor:
             poll_config = config
         self.poll_collector = DurationCollector(
             kernel, tgid, poll_nrs, poll_config, name="poll")
+        self._window_start: Optional[int] = None
+        self._attached = False
+        self._subscribers: List[_Subscriber] = []
+        self._base_ns: Optional[int] = None  # fixed by the first attach()
+        self._bus_epoch = 0
+        self._whole: Optional[MetricsSnapshot] = None
         #: The attached Prometheus export stage (``None`` when export is
         #: off).  Windows land here every ``export.window_ns`` of sim time.
         self.exporter = None
@@ -279,9 +320,7 @@ class RequestMetricsMonitor:
             # module-level import here would be circular.
             from ..export.exporter import PrometheusExporter
             self.exporter = PrometheusExporter(config.export)
-        self._window_start: Optional[int] = None
-        self._attached = False
-        self._export_epoch = 0
+            self.subscribe(config.export.window_ns, self._export)
 
     # -- lifecycle ---------------------------------------------------------
     def attach(self) -> "RequestMetricsMonitor":
@@ -290,10 +329,14 @@ class RequestMetricsMonitor:
         self.poll_collector.attach()
         self._window_start = self.kernel.env.now
         self._attached = True
-        if self.exporter is not None:
-            self._export_epoch += 1
+        if self._subscribers:
+            if self._base_ns is None:
+                self._base_ns = reduce(gcd, (s.window_ns for s in self._subscribers))
+                for subscriber in self._subscribers:
+                    subscriber.every = subscriber.window_ns // self._base_ns
+            self._bus_epoch += 1
             self.kernel.env.process(
-                self._export_loop(self._export_epoch), name="prom-export")
+                self._window_loop(self._bus_epoch), name="window-bus")
         return self
 
     def detach(self) -> None:
@@ -334,20 +377,61 @@ class RequestMetricsMonitor:
         self.poll_collector.reset_window()
         self._window_start = self.kernel.env.now
 
-    # -- export ----------------------------------------------------------
-    def _export_loop(self, epoch: int):
-        """Simulated-time export driver: close a window every
-        ``export.window_ns``, feed it to the exporter, render a scrape.
+    # -- the window bus ----------------------------------------------------
+    def subscribe(
+        self, window_ns: int, on_window: Callable[[MetricsSnapshot, bool], None]
+    ) -> None:
+        """Call ``on_window(snapshot, tail)`` once per ``window_ns`` of sim time.
 
-        The epoch guard retires a stale loop after detach()/re-attach():
-        the superseded generator wakes once more, sees a newer epoch, and
-        returns without touching the collectors.
+        ``tail`` is ``False`` for full windows and ``True`` for the one
+        partial window :meth:`close` delivers (only if it covers time).
+        Subscribe before the first :meth:`attach`: that is where the bus
+        fixes its base window.
         """
-        window_ns = self.config.export.window_ns
+        if window_ns < 1:
+            raise ValueError(f"window_ns must be >= 1, got {window_ns}")
+        if self._base_ns is not None:
+            raise RuntimeError("subscribe() must precede the first attach()")
+        self._subscribers.append(_Subscriber(int(window_ns), on_window))
+
+    def close(self) -> MetricsSnapshot:
+        """End the run and return its whole-run snapshot.
+
+        Closes the partial tail window, delivers each subscriber's tail,
+        retires the window loop and returns the running fold of every
+        window — bit-identical to an unwindowed snapshot in vm/native
+        modes.  Without subscribers there are no windows, and the whole
+        run is simply the open one.
+        """
+        if not self._subscribers:
+            return self.snapshot()
+        self._bus_epoch += 1
+        self._publish(self.snapshot(reset=True), tail=True)
+        return self._whole
+
+    def _window_loop(self, epoch: int):
+        """Close one base window every ``_base_ns`` and fan it out.
+
+        The epoch guard retires a superseded loop (after detach() and
+        attach() again, or close()): it wakes once more, sees a newer epoch,
+        and returns without touching the collectors.
+        """
         env = self.kernel.env
-        while self._attached and self._export_epoch == epoch:
-            yield env.timeout(window_ns)
-            if not self._attached or self._export_epoch != epoch:
+        base_ns = self._base_ns
+        while True:
+            yield env.timeout(base_ns)
+            if not self._attached or self._bus_epoch != epoch:
                 return
-            self.exporter.observe_window(self.snapshot(reset=True))
+            self._publish(self.snapshot(reset=True), tail=False)
+
+    def _publish(self, window: MetricsSnapshot, tail: bool) -> None:
+        self._whole = window if self._whole is None else self._whole.merge(window)
+        for subscriber in self._subscribers:
+            subscriber.offer(window, tail)
+
+    def _export(self, window: MetricsSnapshot, tail: bool) -> None:
+        # The exporter's windows are the bus's windows regrouped, so the
+        # bus's running fold is already the exporter's aggregate.
+        self.exporter.observe_window(window, total=self._whole)
+        if not tail:
             self.exporter.scrape()

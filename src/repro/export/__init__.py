@@ -1,8 +1,8 @@
 """``repro.export`` — the streaming Prometheus export pipeline.
 
 The consumer stage of the unified collector API (ROADMAP item 3,
-ebpf_exporter-style): collectors aggregate in-kernel, the monitor's export
-loop closes windows on a simulated-time cadence, and this package turns
+ebpf_exporter-style): collectors aggregate in-kernel, the monitor's window
+bus closes windows on a simulated-time cadence, and this package turns
 them into Prometheus exposition text — counters and in-probe log2
 histograms that match the source :class:`~repro.core.deltas.DeltaStats`
 bit-for-bit, with OpenMetrics exemplars carrying lost-record confidence.

@@ -1,10 +1,10 @@
 """The streaming Prometheus export stage.
 
 :class:`PrometheusExporter` is the consumer end of the unified collector
-pipeline: the monitor's export loop closes a :class:`MetricsSnapshot`
-window every ``ExportConfig.window_ns`` of simulated time and feeds it
-here; a *scrape* renders the accumulated state as Prometheus exposition
-text (classic 0.0.4 or OpenMetrics).  The design follows ebpf_exporter's
+pipeline: it subscribes to the monitor's window bus, which delivers a
+:class:`MetricsSnapshot` window every ``ExportConfig.window_ns`` of
+simulated time; a *scrape* renders the accumulated state as Prometheus
+exposition text (classic 0.0.4 or OpenMetrics).  The design follows ebpf_exporter's
 split: the probes aggregate in-kernel (counters, sums, log2 histogram
 buckets), userspace only merges windows and formats text — so the
 exporter's marginal cost is windowing + rendering, which is exactly what
@@ -41,8 +41,8 @@ class PrometheusExporter:
     """Accumulates observation windows and renders Prometheus text.
 
     The exported counters are *cumulative over the windows observed so
-    far* (Prometheus counter semantics), computed by merging the window
-    snapshots — so every counter equals the corresponding field of the
+    far* (Prometheus counter semantics), read from a running fold of the
+    window snapshots — so every counter equals the corresponding field of the
     merged :class:`~repro.core.monitor.MetricsSnapshot` exactly, in the
     collectors' own integer arithmetic.  Per-window views (rates,
     confidence) are exported as gauges of the most recent window.
@@ -56,17 +56,27 @@ class PrometheusExporter:
         self.render_count = 0
         #: Total exposition bytes rendered (the overhead study's metric).
         self.bytes_rendered = 0
+        self._total: Optional[MetricsSnapshot] = None
 
     # -- ingestion -------------------------------------------------------
-    def observe_window(self, snapshot: MetricsSnapshot) -> None:
-        """Ingest one closed observation window."""
+    def observe_window(
+        self, snapshot: MetricsSnapshot, total: Optional[MetricsSnapshot] = None
+    ) -> None:
+        """Ingest one closed observation window.  ``total`` is the caller's
+        running fold of every window observed so far, this one included
+        (the window bus passes its own); without it the exporter folds."""
         self.windows.append(snapshot)
+        if total is None:
+            total = snapshot if self._total is None else self._total.merge(snapshot)
+        self._total = total
 
     def aggregate(self) -> Optional[MetricsSnapshot]:
-        """All observed windows merged into one snapshot (None when empty)."""
-        if not self.windows:
-            return None
-        return MetricsSnapshot.merge_all(self.windows)
+        """All observed windows merged into one snapshot (None when empty).
+
+        A running fold: every merged field is an integer sum or a min/max,
+        so it equals ``MetricsSnapshot.merge_all(self.windows)`` exactly.
+        """
+        return self._total
 
     @property
     def last_window(self) -> Optional[MetricsSnapshot]:
@@ -227,3 +237,18 @@ class PrometheusExporter:
     def scrape(self, openmetrics: bool = False) -> str:
         """Alias of :meth:`render` — the name HTTP handlers use."""
         return self.render(openmetrics=openmetrics)
+
+    def summary(self) -> dict:
+        """The cell's ``LevelResult.export`` payload (the scrape cost is
+        read before the two final expositions are rendered)."""
+        return {
+            "windows": len(self.windows),
+            "window_ns": self.config.window_ns,
+            "window_rps": [w.rps_obsv for w in self.windows],
+            "window_lost": [w.lost_records for w in self.windows],
+            "window_confidence": [w.confidence for w in self.windows],
+            "scrapes": self.render_count,
+            "bytes_rendered": self.bytes_rendered,
+            "text": self.render(),
+            "openmetrics": self.render(openmetrics=True),
+        }

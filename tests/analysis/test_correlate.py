@@ -106,11 +106,17 @@ class TestSpecIntegration:
         assert rebuilt.correlate == CFG
         assert rebuilt == spec
 
-    def test_correlate_and_export_are_mutually_exclusive(self):
-        with pytest.raises(ValueError, match="correlate and export"):
-            ExperimentSpec(workload="data-caching", offered_rps=1000,
-                           requests=100, correlate=CFG,
-                           export=ExportConfig())
+    def test_correlate_and_export_combine(self):
+        # Both subscribe to the monitor's one window bus, so one spec may
+        # carry both; the combination is its own cache entry.
+        base = ExperimentSpec(workload="data-caching", offered_rps=1000,
+                              requests=100)
+        both = base.replace(correlate=CFG, export=ExportConfig())
+        assert ExperimentSpec.from_dict(both.to_dict()) == both
+        keys = {base.replace(correlate=CFG).cache_key(),
+                base.replace(export=ExportConfig()).cache_key(),
+                both.cache_key()}
+        assert len(keys) == 3
 
     def test_correlate_participates_in_cache_key(self):
         base = ExperimentSpec(workload="data-caching", offered_rps=1000,

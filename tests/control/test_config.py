@@ -78,11 +78,11 @@ def test_control_and_phases_are_cache_key_relevant():
     assert _spec(phases=[(100.0, 50), (200.0, 50)]).cache_key() != base.cache_key()
 
 
-def test_window_loop_owners_are_mutually_exclusive():
+def test_window_consumers_combine_in_one_spec():
+    # Export, correlation and control all subscribe to the monitor's one
+    # window bus, so every combination is a valid, distinct cell.
     active = ControlConfig(policy="shed")
-    with pytest.raises(ValueError, match="window loop"):
-        _spec(control=active, correlate=CorrelateConfig())
-    with pytest.raises(ValueError, match="window loop"):
-        _spec(control=active, export=ExportConfig())
-    # policy="none" wires nothing, so it owns nothing.
-    assert _spec(control=ControlConfig(), correlate=CorrelateConfig()).correlate is not None
+    combined = _spec(control=active, correlate=CorrelateConfig(), export=ExportConfig())
+    assert ExperimentSpec.from_dict(combined.to_dict()) == combined
+    assert combined.cache_key() != _spec(control=active).cache_key()
+    assert _spec(control=active, export=ExportConfig()).export is not None

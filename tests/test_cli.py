@@ -93,6 +93,16 @@ def test_run_export_window_emits_payload(capsys):
     assert sum(export["window_lost"]) == payload["lost_records"]
 
 
+def test_run_export_and_correlate_in_one_cell(tmp_path, capsys):
+    # Both consumers subscribe to the monitor's one window bus.
+    assert main(["run", "data-caching", "--requests", "300",
+                 "--export-window-ms", "100", "--correlate", "--json",
+                 "--cache-dir", str(tmp_path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["export"]["windows"] >= 1
+    assert payload["extra"]["correlation"]["windows"]
+
+
 def test_run_export_cache_round_trip(tmp_path, capsys):
     args = ["run", "silo", "--rps", "600", "--requests", "150",
             "--export-window-ms", "25", "--cache-dir", str(tmp_path),
