@@ -16,7 +16,7 @@ Two hard gates:
 * every tier must produce a bit-identical ``LevelResult`` per cell — the
   tiers are interchangeable or they are broken;
 * the compiled tier must beat the reference interpreter by >= 3x
-  end-to-end (process CPU time, min of reps) on the headline
+  end-to-end (process CPU time, median of reps) on the headline
   delta-collector cell — full runs only; tiny smoke runs assert
   identity, not speed.
 
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -83,32 +84,33 @@ def _run_cell(spec: ExperimentSpec, faulted: bool) -> dict:
 def run_benchmark(requests: int, reps: int = 3, smoke: bool = False) -> dict:
     """Time the full cell matrix across the VM tiers.
 
-    Each tier is timed as the min over ``reps`` repetitions (after one
-    warm-up execution that also populates the translation caches).  The
-    gated metric is **process CPU time**: the cells are single-threaded
-    pure computation, so CPU time is the cost being optimised, and unlike
-    wall clock it is immune to other processes stealing the core — on the
-    single-core CI runner a 0.3 s cell's wall clock can swing 50 % run to
-    run.  Wall clock is recorded alongside for reference.
+    Each tier is timed as the median over ``reps`` repetitions (after one
+    warm-up execution that also populates the translation caches), with
+    the ``[min, max]`` spread recorded next to it; each repetition runs
+    every tier once, back to back.  The gated metric is
+    **process CPU time**: the cells are single-threaded pure computation,
+    so CPU time is the cost being optimised, and unlike wall clock it is
+    immune to other processes stealing the core — on the single-core CI
+    runner a 0.3 s cell's wall clock can swing 50 % run to run.  Wall
+    clock is recorded alongside for reference.
     """
     cells = {}
     for name, workload, mode, faulted in CELL_MATRIX:
         spec = _spec_for(workload, mode, requests)
-        walls, cpus, outputs = {}, {}, {}
-        for tier in VM_TIERS:
-            tier_spec = spec.replace(vm_tier=tier)
-            outputs[tier] = _run_cell(tier_spec, faulted)  # warm-up + oracle
-            best_wall = best_cpu = None
-            for _ in range(reps):
+        tier_specs = {tier: spec.replace(vm_tier=tier) for tier in VM_TIERS}
+        # Warm-up + oracle run per tier, then the timed reps with the tiers
+        # interleaved, so load that drifts over the run weighs on both.
+        outputs = {tier: _run_cell(tier_specs[tier], faulted) for tier in VM_TIERS}
+        walls = {tier: [] for tier in VM_TIERS}
+        cpus = {tier: [] for tier in VM_TIERS}
+        for _ in range(reps):
+            for tier in VM_TIERS:
                 wall0 = time.perf_counter()
                 cpu0 = time.process_time()
-                _run_cell(tier_spec, faulted)
-                cpu = time.process_time() - cpu0
-                wall = time.perf_counter() - wall0
-                best_wall = wall if best_wall is None else min(best_wall, wall)
-                best_cpu = cpu if best_cpu is None else min(best_cpu, cpu)
-            walls[tier] = best_wall
-            cpus[tier] = best_cpu
+                _run_cell(tier_specs[tier], faulted)
+                cpus[tier].append(time.process_time() - cpu0)
+                walls[tier].append(time.perf_counter() - wall0)
+        median_cpu = {tier: statistics.median(cpus[tier]) for tier in VM_TIERS}
 
         diverged = [tier for tier in VM_TIERS
                     if outputs[tier] != outputs["reference"]]
@@ -118,11 +120,16 @@ def run_benchmark(requests: int, reps: int = 3, smoke: bool = False) -> dict:
             "faulted": faulted,
             "offered_rps": spec.offered_rps,
             "requests": requests,
-            "wall_s": {tier: round(walls[tier], 4) for tier in VM_TIERS},
-            "cpu_s": {tier: round(cpus[tier], 4) for tier in VM_TIERS},
+            "wall_s": {tier: round(statistics.median(walls[tier]), 4)
+                       for tier in VM_TIERS},
+            "cpu_s": {tier: round(median_cpu[tier], 4) for tier in VM_TIERS},
+            "cpu_s_spread": {
+                tier: [round(min(cpus[tier]), 4), round(max(cpus[tier]), 4)]
+                for tier in VM_TIERS
+            },
             "speedup_vs_reference": {
-                tier: round(cpus["reference"] / cpus[tier], 2)
-                if cpus[tier] else None
+                tier: round(median_cpu["reference"] / median_cpu[tier], 2)
+                if median_cpu[tier] else None
                 for tier in VM_TIERS
             },
             "identical_metrics": not diverged,

@@ -24,7 +24,9 @@ setup, not the probe hot loop, and would flap.
 The committed full-size baseline is additionally held to absolute
 per-cell compiled-tier speedup floors (``SPEEDUP_FLOORS``): every cell
 of the matrix must keep the compiled probe + workload-sim tiers at
-least 3x cheaper than the reference interpreter.  The drift check above
+least 3x cheaper than the reference interpreter, and the cells whose
+probe path dominates and which the guard hoist took well past it
+(``data-caching/vm/*``, ``triton-grpc/vm/faulted``) at least 4x.  The drift check above
 cannot catch a slow erosion that refreshes the baseline each time; the
 floors can.
 
@@ -71,12 +73,12 @@ DEFAULT_MIN_CPU_S = 0.05
 #: sim/probe tiers stopped covering that cell's hot path.  Smoke runs are
 #: never judged here — their ratios are setup-dominated.
 SPEEDUP_FLOORS = {
-    "data-caching/vm/clean": 3.0,
+    "data-caching/vm/clean": 4.0,
     "data-caching/stream/clean": 3.0,
-    "data-caching/vm/faulted": 3.0,
+    "data-caching/vm/faulted": 4.0,
     "triton-grpc/vm/clean": 3.0,
     "triton-grpc/stream/clean": 3.0,
-    "triton-grpc/vm/faulted": 3.0,
+    "triton-grpc/vm/faulted": 4.0,
 }
 
 

@@ -36,6 +36,7 @@ from ...core.monitor import MetricsSnapshot, RequestMetricsMonitor
 from ...core.windows import window_estimates
 from ...ebpf.translation import translation_cache_stats
 from ...kernel.kernel import Kernel
+from ...kernel.tracepoints import ProbeGuard
 from ...loadgen.client import ClientReport, OpenLoopClient
 from ...net.netem import NetemConfig
 from ...sim.engine import Environment
@@ -56,21 +57,20 @@ __all__ = [
 
 class _SendTimestampProbe:
     """Minimal native probe recording send-family sys_enter timestamps
-    (for the per-window estimates of Fig. 2's residual analysis)."""
+    (for the per-window estimates of Fig. 2's residual analysis).  It
+    attaches with a ``(tgid, nrs)`` guard, so it only sees its own sends."""
 
     def __init__(self, kernel: Kernel, tgid: int, syscall_nrs) -> None:
         self.kernel = kernel
-        self.tgid = tgid
-        self.nrs = frozenset(syscall_nrs)
+        self.guard = ProbeGuard(tgid, syscall_nrs)
         self.timestamps: List[int] = []
 
     def __call__(self, ctx) -> int:
-        if ctx.pid_tgid >> 32 == self.tgid and ctx.syscall_nr in self.nrs:
-            self.timestamps.append(ctx.ktime_ns)
+        self.timestamps.append(ctx.ktime_ns)
         return 0
 
     def attach(self) -> "_SendTimestampProbe":
-        self.kernel.tracepoints.sys_enter.attach(self)
+        self.kernel.tracepoints.sys_enter.attach(self, self.guard)
         return self
 
 

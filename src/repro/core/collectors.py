@@ -34,6 +34,7 @@ from ..ebpf.opcodes import MemSize, Reg
 from ..ebpf.helpers import Helper
 from ..ebpf.program import Program
 from ..kernel.kernel import Kernel
+from ..kernel.tracepoints import ProbeGuard
 from .config import CollectorConfig, resolve_collector_config
 from .deltas import DeltaStats
 from .histograms import NBUCKETS, DeltaHistogram
@@ -357,7 +358,6 @@ class DeltaCollector:
             self._hists: Optional[List[DeltaHistogram]] = (
                 [DeltaHistogram() for _ in range(self.cpus)]
                 if with_hist else None)
-            self._nr_set = frozenset(self.syscall_nrs)
 
     @property
     def bpf(self) -> Optional[BPF]:
@@ -371,7 +371,8 @@ class DeltaCollector:
         if self.mode == "vm":
             self._bpf.attach_tracepoint("raw_syscalls:sys_enter", f"{self.name}_enter")
         else:
-            self.kernel.tracepoints.sys_enter.attach(self._native_probe)
+            self.kernel.tracepoints.sys_enter.attach(
+                self._native_probe, ProbeGuard(self.tgid, self.syscall_nrs))
         self._attached = True
         return self
 
@@ -385,10 +386,7 @@ class DeltaCollector:
         self._attached = False
 
     def _native_probe(self, ctx) -> int:
-        if ctx.pid_tgid >> 32 != self.tgid:
-            return 0
-        if ctx.syscall_nr not in self._nr_set:
-            return 0
+        # Attached with a ProbeGuard: only this tgid's syscall_nrs get here.
         if self.cpus == 1:
             if self._hists is not None and self._stats.last_ns is not None:
                 self._hists[0].observe(ctx.ktime_ns - self._stats.last_ns)
@@ -575,7 +573,6 @@ class DurationCollector:
             self._bpf = None
             self._open: Dict[int, int] = {}
             self._stats = DurationStats()
-            self._nr_set = frozenset(self.syscall_nrs)
 
     @property
     def bpf(self) -> Optional[BPF]:
@@ -589,8 +586,9 @@ class DurationCollector:
             self._bpf.attach_tracepoint("raw_syscalls:sys_enter", f"{self.name}_enter")
             self._bpf.attach_tracepoint("raw_syscalls:sys_exit", f"{self.name}_exit")
         else:
-            self.kernel.tracepoints.sys_enter.attach(self._native_enter)
-            self.kernel.tracepoints.sys_exit.attach(self._native_exit)
+            guard = ProbeGuard(self.tgid, self.syscall_nrs)
+            self.kernel.tracepoints.sys_enter.attach(self._native_enter, guard)
+            self.kernel.tracepoints.sys_exit.attach(self._native_exit, guard)
         self._attached = True
         return self
 
@@ -604,22 +602,19 @@ class DurationCollector:
             self.kernel.tracepoints.sys_exit.detach(self._native_exit)
         self._attached = False
 
-    def _wanted(self, ctx) -> bool:
-        return ctx.pid_tgid >> 32 == self.tgid and ctx.syscall_nr in self._nr_set
-
+    # Both native probes attach with a ProbeGuard, so they only ever see
+    # this tgid's syscall_nrs.
     def _native_enter(self, ctx) -> int:
-        if self._wanted(ctx):
-            self._open[ctx.pid_tgid] = ctx.ktime_ns
+        self._open[ctx.pid_tgid] = ctx.ktime_ns
         return 0
 
     def _native_exit(self, ctx) -> int:
-        if self._wanted(ctx):
-            start_ns = self._open.get(ctx.pid_tgid)
-            if start_ns is not None:
-                duration = ctx.ktime_ns - start_ns
-                self._stats.count += 1
-                self._stats.sum += duration
-                self._stats.sumsq += duration * duration
+        start_ns = self._open.get(ctx.pid_tgid)
+        if start_ns is not None:
+            duration = ctx.ktime_ns - start_ns
+            self._stats.count += 1
+            self._stats.sum += duration
+            self._stats.sumsq += duration * duration
         return 0
 
     def snapshot(self) -> DurationStats:

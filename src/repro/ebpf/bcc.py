@@ -13,17 +13,24 @@ byte layout, builds a per-invocation helper runtime (clock = the kernel's
 ``ktime``, current task = the syscall-ing thread), and interprets the
 program in the VM.  With ``charge_cost=True`` the interpreter's cost model
 is charged to the traced syscall — the mechanism behind the overhead study.
+
+On the compiled tier a program whose prologue is Listing 1's tgid/syscall
+filter (:func:`~repro.ebpf.guard.derive_guard`) attaches with that filter
+as its tracepoint guard: foreign firings never pack a context or enter the
+program, and :class:`_ProgramGuard` accounts for them exactly as if the
+prologue had run and rejected.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..kernel.kernel import Kernel
-from ..kernel.tracepoints import SysEnterCtx, SysExitCtx, Tracepoint
+from ..kernel.tracepoints import ProbeGuard
 from .compiled import DEFAULT_VM_TIER, make_vm
 from .context import ProgType, pack_sys_enter, pack_sys_exit
 from .errors import BpfError
+from .guard import ProgramGuard
 from .helpers import HelperRuntime
 from .maps import BpfMap, PerfEventArray, RingBuf
 from .program import Program
@@ -32,6 +39,44 @@ from .vm import Vm
 __all__ = ["BPF"]
 
 MapLike = Union[BpfMap, RingBuf, PerfEventArray]
+
+
+class _ProgramGuard(ProbeGuard):
+    """A compiled program's derived guard, as one attachment's tracepoint guard.
+
+    Rejected firings cost what the program's own reject path costs (with
+    ``charge_cost``) and are counted into the owning :class:`BPF`'s
+    ``invocations``/``insns_executed`` when the tracepoint folds, so the
+    counters read exactly what running the program on every firing gives.
+    """
+
+    __slots__ = ("guard", "name", "invocations", "insns_executed",
+                 "insn_cost_ns", "charge_cost")
+
+    def __init__(self, guard: ProgramGuard, name: str, invocations: Dict[str, int],
+                 insns_executed: Dict[str, int], insn_cost_ns: int,
+                 charge_cost: bool) -> None:
+        super().__init__(guard.tgid, guard.nrs)
+        self.guard = guard
+        self.name = name
+        self.invocations = invocations
+        self.insns_executed = insns_executed
+        self.insn_cost_ns = insn_cost_ns
+        self.charge_cost = charge_cost
+
+    def accepts(self, tgid: int, nr: int) -> bool:
+        return self.guard.reject_path(tgid, nr) is None
+
+    def reject_cost(self, tgid: int, nr: int) -> int:
+        if not self.charge_cost:
+            return 0
+        steps, helper_cost = self.guard.reject_path(tgid, nr)
+        return helper_cost + steps * self.insn_cost_ns
+
+    def count_rejects(self, tgid: int, nr: int, firings: int) -> None:
+        steps, _helper_cost = self.guard.reject_path(tgid, nr)
+        self.invocations[self.name] += firings
+        self.insns_executed[self.name] += firings * steps
 
 
 class BPF:
@@ -83,9 +128,8 @@ class BPF:
         self.cpu_of = cpu_of
         self._programs: Dict[str, Program] = {}
         self._attached: List[tuple] = []
-        #: Diagnostics: per-program invocation and instruction counts.
-        self.invocations: Dict[str, int] = {}
-        self.insns_executed: Dict[str, int] = {}
+        self._invocations: Dict[str, int] = {}
+        self._insns_executed: Dict[str, int] = {}
         for program in programs:
             self.load(program)
 
@@ -96,9 +140,27 @@ class BPF:
             raise BpfError(f"duplicate program name {program.name!r}")
         resolved = program.resolve_maps(self.maps).verify()
         self._programs[resolved.name] = resolved
-        self.invocations[resolved.name] = 0
-        self.insns_executed[resolved.name] = 0
+        self._invocations[resolved.name] = 0
+        self._insns_executed[resolved.name] = 0
         return resolved
+
+    # -- diagnostics ---------------------------------------------------------
+    def _fold(self) -> None:
+        for tracepoint in {tp for tp, _probe in self._attached}:
+            tracepoint.fold()
+
+    @property
+    def invocations(self) -> Dict[str, int]:
+        """Per-program invocation counts, guard-rejected firings included."""
+        self._fold()
+        return self._invocations
+
+    @property
+    def insns_executed(self) -> Dict[str, int]:
+        """Per-program executed-instruction counts, guard-rejected firings
+        included."""
+        self._fold()
+        return self._insns_executed
 
     def __getitem__(self, map_name: str) -> MapLike:
         return self.maps[map_name]
@@ -131,8 +193,8 @@ class BPF:
                 f"program {prog_name!r} has type {program.prog_type.name!r}, "
                 f"but {tp_name} requires {expected!r}"
             )
-        probe = self._make_probe(program)
-        tracepoint.attach(probe)
+        probe, guard = self._make_probe(program)
+        tracepoint.attach(probe, guard)
         self._attached.append((tracepoint, probe))
 
     def detach_all(self) -> None:
@@ -147,7 +209,9 @@ class BPF:
         self.detach_all()
 
     # -- execution -----------------------------------------------------------
-    def _make_probe(self, program: Program):
+    def _make_probe(self, program: Program) -> Tuple[Callable, Optional[ProbeGuard]]:
+        """The tracepoint probe running ``program``, and its guard (only for
+        compiled programs with a derived :class:`ProgramGuard`)."""
         pack = (
             pack_sys_enter
             if program.prog_type.name == ProgType.tracepoint_sys_enter().name
@@ -163,8 +227,8 @@ class BPF:
         name = program.name
         cpu_of = self.cpu_of
         charge_cost = self.charge_cost
-        invocations = self.invocations
-        insns_executed = self.insns_executed
+        invocations = self._invocations
+        insns_executed = self._insns_executed
         prandom = lambda: prandom_stream.randint(0, (1 << 32) - 1)  # noqa: E731
         runtime = HelperRuntime(prandom=prandom)
 
@@ -175,6 +239,8 @@ class BPF:
             # no per-firing VmResult allocation.  ``pack`` always hands
             # over bytes, which is all the raw function accepts.
             fn, insn_cost_ns, scratch = raw
+            guard = None if run.guard is None else _ProgramGuard(
+                run.guard, name, invocations, insns_executed, insn_cost_ns, charge_cost)
             if cpu_of is None:
                 def probe(ctx) -> int:
                     runtime.ktime_ns = ctx.ktime_ns
@@ -192,7 +258,7 @@ class BPF:
                     invocations[name] += 1
                     insns_executed[name] += steps
                     return cost if charge_cost else 0
-            return probe
+            return probe, guard
 
         if cpu_of is None:
             def probe(ctx) -> int:
@@ -212,7 +278,7 @@ class BPF:
                 insns_executed[name] += result.steps
                 return result.cost_ns if charge_cost else 0
 
-        return probe
+        return probe, None
 
     # -- userspace data access ----------------------------------------------
     def ring_records(self, map_name: str) -> List[bytes]:

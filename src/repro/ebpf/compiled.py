@@ -41,7 +41,10 @@ map references, unknown helpers or opcodes, non-imm64 LD forms —
 **fall back to the reference** :class:`~repro.ebpf.vm.Vm`, so
 :meth:`CompiledVm.execute` is total over the interpreter's input space.
 Translations are cached process-wide by
-:class:`~repro.ebpf.translation.TranslationCache`.
+:class:`~repro.ebpf.translation.TranslationCache`, each with the program's
+leading tgid/syscall guard (:func:`~repro.ebpf.guard.derive_guard`), which
+the bcc frontend hands to the tracepoint dispatcher so foreign firings
+skip the program.
 """
 
 from __future__ import annotations
@@ -50,9 +53,10 @@ import hashlib
 from typing import List, NamedTuple, Optional, Sequence
 
 from .errors import VmFault
+from .guard import ProgramGuard, derive_guard
 from .helpers import HELPER_SIGS, INLINE_SAFE_HELPERS, Helper, HelperRuntime
 from .insn import Insn, encode
-from .maps import ArrayMap, BpfMap, PerfEventArray, RingBuf
+from .maps import ArrayMap, BpfMap, HashMap, PerfEventArray, RingBuf
 from .opcodes import AluOp, InsnClass, JmpOp, MemSize
 from .vm import (
     DEFAULT_INSN_COST_NS,
@@ -536,11 +540,12 @@ _PURE_HELPER_EXPRS = {
 }
 
 def _inline_map_lookup(cost_ns: int) -> List[str]:
-    """Guarded inline ``bpf_map_lookup_elem`` for ``ArrayMap``.
+    """Guarded inline ``bpf_map_lookup_elem`` for ``ArrayMap`` and ``HashMap``.
 
-    Mirrors the reference arm exactly: a 4-byte key read (``read_mem``
-    bounds), ``ArrayMap.lookup`` (out-of-range index -> NULL), and a
-    **fresh** ``MemRegion`` per hit so pointer identity behaves as in the
+    Mirrors the reference arm exactly: a ``key_size`` key read
+    (``read_mem`` bounds), ``ArrayMap.lookup`` (out-of-range index ->
+    NULL) or ``HashMap.lookup`` (missing key -> NULL), and a **fresh**
+    ``MemRegion`` per hit so pointer identity behaves as in the
     reference.  Anything the guards cannot prove leaves ``_fb`` set.
     """
     return [
@@ -558,16 +563,32 @@ def _inline_map_lookup(cost_ns: int) -> List[str]:
         "            r1 = r2 = r3 = r4 = r5 = None",
         f"            C += {cost_ns}",
         "            _fb = 0",
+        "    elif _m.__class__ is HashMap:",
+        "        _d = r2.region.data",
+        "        _o = r2.offset",
+        "        _ks = _m.key_size",
+        "        if 0 <= _o and _o + _ks <= len(_d):",
+        "            _v = _m._data.get(bytes(_d[_o:_o + _ks]))",
+        "            if _v is None:",
+        "                r0 = 0",
+        "            else:",
+        "                r0 = Pointer(MemRegion('map_value', _v, True), 0)",
+        "            r1 = r2 = r3 = r4 = r5 = None",
+        f"            C += {cost_ns}",
+        "            _fb = 0",
     ]
 
 
 def _inline_map_update(cost_ns: int) -> List[str]:
-    """Guarded inline ``bpf_map_update_elem`` for ``ArrayMap``.
+    """Guarded inline ``bpf_map_update_elem`` for ``ArrayMap`` and ``HashMap``.
 
     Commits only when the key read, the value read and the index are all
     in bounds; an out-of-range index falls back so the reference raises
     its ``MapError`` verbatim.  The slice assignment is what
-    ``ArrayMap.update`` performs on its preallocated slot.
+    ``ArrayMap.update`` performs on its preallocated slot.  The hash arm
+    stores a fresh ``bytearray`` under the key as ``HashMap.update`` does,
+    and falls back when the key is new and the map is full, so the
+    reference raises the full-map ``MapError``.
     """
     return [
         "if r1.__class__ is MapRef and r2.__class__ is Pointer and r3.__class__ is Pointer:",
@@ -587,6 +608,22 @@ def _inline_map_update(cost_ns: int) -> List[str]:
         "                    r1 = r2 = r3 = r4 = r5 = None",
         f"                    C += {cost_ns}",
         "                    _fb = 0",
+        "    elif _m.__class__ is HashMap:",
+        "        _d = r2.region.data",
+        "        _o = r2.offset",
+        "        _ks = _m.key_size",
+        "        _vd = r3.region.data",
+        "        _vo = r3.offset",
+        "        _vs = _m.value_size",
+        "        if 0 <= _o and _o + _ks <= len(_d) and 0 <= _vo and _vo + _vs <= len(_vd):",
+        "            _k = bytes(_d[_o:_o + _ks])",
+        "            _h = _m._data",
+        "            if _k in _h or len(_h) < _m.max_entries:",
+        "                _h[_k] = bytearray(_vd[_vo:_vo + _vs])",
+        "                r0 = 0",
+        "                r1 = r2 = r3 = r4 = r5 = None",
+        f"                C += {cost_ns}",
+        "                _fb = 0",
     ]
 
 
@@ -645,16 +682,19 @@ class CompiledProgram:
 
     ``fn(ctx_bytes, runtime, insn_cost_ns, scratch)`` returns the
     ``(r0, steps, cost_ns)`` triple; ``source`` keeps the generated text
-    for diagnostics and tests, and ``code`` the shared code object.
+    for diagnostics and tests, ``code`` the shared code object and
+    ``guard`` the program's derived leading guard (or ``None``).
     """
 
-    __slots__ = ("fn", "source", "n", "code")
+    __slots__ = ("fn", "source", "n", "code", "guard")
 
-    def __init__(self, fn, source: str, n: int, code) -> None:
+    def __init__(self, fn, source: str, n: int, code,
+                 guard: Optional[ProgramGuard] = None) -> None:
         self.fn = fn
         self.source = source
         self.n = n
         self.code = code
+        self.guard = guard
 
 
 class Translation(NamedTuple):
@@ -663,11 +703,13 @@ class Translation(NamedTuple):
     code: object
     source: str
     n: int
+    guard: Optional[ProgramGuard]
 
     def bind(self, namespace: dict) -> CompiledProgram:
         """Execute the code in a namespace from :func:`rebind_namespace`."""
         exec(self.code, namespace)  # noqa: S102 - our own codegen output
-        return CompiledProgram(namespace["_prog"], self.source, self.n, self.code)
+        return CompiledProgram(namespace["_prog"], self.source, self.n, self.code,
+                               self.guard)
 
 
 def translate(insns: Sequence[Insn]) -> Optional[Translation]:
@@ -677,7 +719,8 @@ def translate(insns: Sequence[Insn]) -> Optional[Translation]:
     A pure function of ``encode(insns)``: map references are never read
     here, only bound later.  Each code object is labelled
     ``<ebpf-compiled:DIGEST>`` (the first 12 hex digits of the encoding's
-    SHA-256), so profiles tell programs apart.
+    SHA-256), so profiles tell programs apart.  The program's leading
+    guard, also a function of the encoding, rides along.
     """
     if len(insns) >= MAX_STEPS:
         # Loop-free execution could still exhaust the reference budget;
@@ -689,7 +732,7 @@ def translate(insns: Sequence[Insn]) -> Optional[Translation]:
         return None
     digest = hashlib.sha256(encode(insns)).hexdigest()[:12]
     code = compile(source, f"<ebpf-compiled:{digest}>", "exec")
-    return Translation(code, source, len(insns))
+    return Translation(code, source, len(insns), derive_guard(insns))
 
 
 def compile_insns(insns: Sequence[Insn]) -> Optional[CompiledProgram]:
@@ -708,6 +751,7 @@ _STATIC_NS = {
     "MapRef": MapRef,
     "MemRegion": MemRegion,
     "ArrayMap": ArrayMap,
+    "HashMap": HashMap,
     "PerfEventArray": PerfEventArray,
     "_alu": _REF._alu,
     "_branch": _REF._branch,
@@ -797,7 +841,8 @@ class CompiledVm(Vm):
         probe) can call the compiled function itself and consume the
         bare ``(r0, steps, cost_ns)`` tuple, skipping the per-firing
         VmResult allocation entirely.  ``fn`` requires ``ctx`` to
-        already be ``bytes``.
+        already be ``bytes``.  A ``guard`` attribute carries the
+        program's derived :class:`~repro.ebpf.guard.ProgramGuard`.
         """
         compiled = self.cache.bind(insns)
         if compiled is None:
@@ -821,6 +866,7 @@ class CompiledVm(Vm):
             return VmResult(r0=r0, steps=steps, cost_ns=cost)
 
         run.raw = (fn, insn_cost_ns, scratch)
+        run.guard = compiled.guard
         return run
 
     def execute(

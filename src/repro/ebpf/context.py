@@ -55,10 +55,11 @@ class ProgType:
         return cls("tracepoint/raw_syscalls/sys_exit", SYS_EXIT_CTX_SIZE)
 
 
-def _common_header(pid: int) -> bytes:
-    # common_type(u16), common_flags(u8), common_preempt_count(u8),
-    # common_pid(s32)
-    return struct.pack("<HBBi", 0, 0, 0, pid & 0x7FFFFFFF)
+# common_type(u16), common_flags(u8), common_preempt_count(u8),
+# common_pid(s32), then ``long id`` and the payload: one packer per record.
+_SYS_ENTER = struct.Struct("<HBBiq6Q")
+_SYS_EXIT = struct.Struct("<HBBiqq")
+_MASK64 = (1 << 64) - 1
 
 
 def pack_sys_enter(ctx: SysEnterCtx) -> bytes:
@@ -71,11 +72,8 @@ def pack_sys_enter(ctx: SysEnterCtx) -> bytes:
     blob = getattr(ctx, "_blob", None)
     if blob is None:
         args: Sequence[int] = tuple(ctx.args)[:6] + (0,) * max(0, 6 - len(ctx.args))
-        blob = (
-            _common_header(ctx.tid)
-            + struct.pack("<q", ctx.syscall_nr)
-            + struct.pack("<6Q", *[a & 0xFFFFFFFFFFFFFFFF for a in args])
-        )
+        blob = _SYS_ENTER.pack(0, 0, 0, ctx.tid & 0x7FFFFFFF, ctx.syscall_nr,
+                               *[a & _MASK64 for a in args])
         object.__setattr__(ctx, "_blob", blob)
     return blob
 
@@ -87,10 +85,6 @@ def pack_sys_exit(ctx: SysExitCtx) -> bytes:
     """
     blob = getattr(ctx, "_blob", None)
     if blob is None:
-        blob = (
-            _common_header(ctx.tid)
-            + struct.pack("<q", ctx.syscall_nr)
-            + struct.pack("<q", ctx.ret)
-        )
+        blob = _SYS_EXIT.pack(0, 0, 0, ctx.tid & 0x7FFFFFFF, ctx.syscall_nr, ctx.ret)
         object.__setattr__(ctx, "_blob", blob)
     return blob

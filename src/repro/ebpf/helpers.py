@@ -124,8 +124,8 @@ HELPER_SIGS: Dict[int, HelperSig] = {
 #: identically).  The compiled tier asserts its inline table stays inside
 #: this set; helpers outside it always dispatch through ``call_helper``.
 INLINE_SAFE_HELPERS = frozenset({
-    Helper.MAP_LOOKUP_ELEM,      # array-map fast path
-    Helper.MAP_UPDATE_ELEM,      # array-map fast path
+    Helper.MAP_LOOKUP_ELEM,      # array- and hash-map fast paths
+    Helper.MAP_UPDATE_ELEM,      # array- and hash-map fast paths
     Helper.PERF_EVENT_OUTPUT,    # streaming hot path
     Helper.KTIME_GET_NS,         # register-only
     Helper.GET_CURRENT_PID_TGID,  # register-only

@@ -48,6 +48,7 @@ from repro.ebpf import (
 )
 from repro.ebpf.bpfc import compile_source
 from repro.ebpf.compiled import DEFAULT_VM_TIER, VM_TIERS
+from repro.ebpf.errors import MapError
 from repro.kernel.tracepoints import SysEnterCtx, SysExitCtx
 
 from .test_differential import CTX_SIZE, _build, _op
@@ -251,6 +252,115 @@ def test_three_tiers_agree_on_faults(ops, ctx):
     insns = _build(ops)
     outcomes = {_outcome(vm, insns, ctx) for vm in _fresh_tiers().values()}
     assert len(outcomes) == 1
+
+
+# ----------------------------------------------------------------------
+# hash maps: the inlined lookup/update arms against call_helper
+# ----------------------------------------------------------------------
+
+_hash_op = st.one_of(
+    st.tuples(st.just("update"), st.integers(0, 5), st.integers(-(1 << 31), (1 << 31) - 1)),
+    st.tuples(st.just("lookup"), st.integers(0, 5)),
+    st.tuples(st.just("delete"), st.integers(0, 5)),
+    st.tuples(st.just("lookup_twice"), st.integers(0, 5)),
+    st.tuples(st.just("update_from_ctx"), st.integers(0, 5)),
+    st.tuples(st.just("lookup_ctx_key")),
+    st.tuples(st.just("lookup_oob")),
+)
+
+
+def _hash_program(ops, hmap):
+    """One program running ``ops`` against ``hmap``; r6 sums what it saw."""
+    asm = Asm()
+    asm.mov_reg(Reg.R9, Reg.R1)
+    asm.mov_imm(Reg.R6, 0)
+    for index, op in enumerate(ops):
+        name, label = op[0], f"skip{index}"
+        if name in ("update", "update_from_ctx", "lookup", "delete", "lookup_twice"):
+            asm.st_imm(MemSize.DW, Reg.R10, -8, op[1])
+        asm.ld_map_fd(Reg.R1, hmap)
+        if name == "lookup_ctx_key":
+            asm.mov_reg(Reg.R2, Reg.R9)  # the key read straight from the ctx
+            asm.add_imm(Reg.R2, 8)
+        else:
+            asm.mov_reg(Reg.R2, Reg.R10)
+            asm.add_imm(Reg.R2, -4 if name == "lookup_oob" else -8)
+        if name == "update":
+            asm.st_imm(MemSize.DW, Reg.R10, -16, op[2])
+            asm.mov_reg(Reg.R3, Reg.R10)
+            asm.add_imm(Reg.R3, -16)
+            asm.mov_imm(Reg.R4, 0)
+            asm.call(Helper.MAP_UPDATE_ELEM)
+            asm.add_reg(Reg.R6, Reg.R0)
+        elif name == "update_from_ctx":
+            asm.mov_reg(Reg.R3, Reg.R9)  # value bytes from the read-only ctx
+            asm.add_imm(Reg.R3, 16)
+            asm.mov_imm(Reg.R4, 0)
+            asm.call(Helper.MAP_UPDATE_ELEM)
+            asm.add_reg(Reg.R6, Reg.R0)
+        elif name == "delete":
+            asm.call(Helper.MAP_DELETE_ELEM)
+            asm.add_reg(Reg.R6, Reg.R0)
+        elif name == "lookup_twice":
+            # Each hit is a fresh pointer: the two never compare equal.
+            asm.call(Helper.MAP_LOOKUP_ELEM)
+            asm.mov_reg(Reg.R7, Reg.R0)
+            asm.ld_map_fd(Reg.R1, hmap)
+            asm.mov_reg(Reg.R2, Reg.R10)
+            asm.add_imm(Reg.R2, -8)
+            asm.call(Helper.MAP_LOOKUP_ELEM)
+            asm.jeq_reg(Reg.R0, Reg.R7, label)
+            asm.add_imm(Reg.R6, 1000)
+            asm.label(label)
+        else:  # lookup, then bump the value in place through the pointer
+            asm.call(Helper.MAP_LOOKUP_ELEM)
+            asm.jeq_imm(Reg.R0, 0, label)
+            asm.ldx(MemSize.DW, Reg.R1, Reg.R0, 0)
+            asm.add_imm(Reg.R1, 1)
+            asm.stx(MemSize.DW, Reg.R0, 0, Reg.R1)
+            asm.add_reg(Reg.R6, Reg.R1)
+            asm.label(label)
+    asm.mov_reg(Reg.R0, Reg.R6)
+    asm.exit_()
+    return asm.build()
+
+
+def _hash_outcome(vm, insns, ctx):
+    try:
+        result = vm.execute(insns, ctx)
+        return ("ok", result.r0, result.steps, result.cost_ns)
+    except (VmFault, MapError) as error:
+        return (type(error).__name__, str(error))
+
+
+@given(ops=st.lists(_hash_op, min_size=1, max_size=12),
+       ctx=st.binary(min_size=CTX_SIZE, max_size=CTX_SIZE),
+       max_entries=st.integers(1, 4))
+@settings(max_examples=200, **_FUZZ_SETTINGS)
+def test_tiers_agree_on_hash_maps(ops, ctx, max_entries):
+    """Hits, misses (NULL), in-place writes, deletes, a full map's
+    ``MapError`` and out-of-bounds keys: the inlined hash arms must match
+    ``call_helper`` result for result, map byte for map byte."""
+    outcomes = {}
+    for tier, vm in _fresh_tiers().items():
+        hmap = HashMap(key_size=8, value_size=8, max_entries=max_entries, name="h")
+        insns = _hash_program(ops, hmap)
+        runs = [_hash_outcome(vm, insns, ctx) for _ in range(3)]
+        outcomes[tier] = (runs, sorted((bytes(k), bytes(v)) for k, v in hmap.items()))
+        if tier == "compiled":
+            assert compile_insns(insns) is not None
+    assert outcomes["reference"] == outcomes["compiled"]
+
+
+def test_hash_map_calls_are_inlined():
+    """The duration collector's ``start`` hash map no longer goes through
+    ``call_helper`` on the hot path (misses and full maps still may)."""
+    start = HashMap(key_size=8, value_size=8, max_entries=64, name="start")
+    state = ArrayMap(value_size=_DUR_VALUE_SIZE, max_entries=1, name="state")
+    for program in build_duration_programs("start", "state", TGID, [232]):
+        resolved = program.resolve_maps({"start": start, "state": state}).verify()
+        source = compile_insns(resolved.insns).source
+        assert "_m.__class__ is HashMap" in source
 
 
 # ----------------------------------------------------------------------
